@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,19 @@ class TabularDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def canonical_order(self) -> np.ndarray:
+        """Row indices in lexicographic order of (features, label, group), read-only.
+
+        Computed once per dataset: the arrays are immutable, so the order
+        cannot go stale.
+        """
+        keys = [self.sensitive, self.labels]
+        keys.extend(self.features[:, j] for j in range(self.dim - 1, -1, -1))
+        order = np.lexsort(keys)
+        order.flags.writeable = False
+        return order
 
     def subset(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -20,6 +20,10 @@ from .seeding import derive_seed
 # saturated wrong prediction stays finite
 _CLAMP = 1e-12
 
+# below 0, logits closer to 0 than this are classified by evaluating the
+# sigmoid; further out their sign alone decides (see is_positive)
+_SIGN_DECIDES = 1e-12
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -106,17 +110,41 @@ def _check_dim(params: ModelParams, dataset: TabularDataset) -> None:
         raise ShapeError(f"model expects {params.dim} features, dataset has {dataset.dim}")
 
 
-def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Positive-class probabilities for each row of `features`."""
+def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise ShapeError(f"features must be (n, {params.dim}), got {X.shape}")
-    return _sigmoid(X @ params.weights + params.bias)
+    return X @ params.weights + params.bias
+
+
+def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities for each row of `features`."""
+    return _sigmoid(_logits(params, features))
+
+
+def is_positive(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """The hard-label rule: a logit is positive when `_sigmoid(logit) >= threshold`.
+
+    The rule is decided on the float64 sigmoid, not on the logit's sign: a
+    logit of -1e-17 has probability exactly 0.5 and counts positive.  At the
+    default threshold the sigmoid is only evaluated for logits in
+    (-_SIGN_DECIDES, 0); elsewhere the sign gives the same answer.
+    """
+    if threshold != 0.5:
+        return _sigmoid(logits) >= threshold
+    # z >= 0: exp(-z) <= 1, so 1 / (1 + exp(-z)) >= 0.5 exactly.
+    # z <= -_SIGN_DECIDES: exp(z) is at most about 1 - 1e-12, so
+    # exp(z) / (1 + exp(z)) lies ~2.5e-13 below 0.5, far beyond rounding.
+    positive = logits >= 0
+    near = (logits < 0) & (logits > -_SIGN_DECIDES)
+    if near.any():
+        positive[near] = _sigmoid(logits[near]) >= 0.5
+    return positive
 
 
 def classify(params: ModelParams, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Hard labels; a probability exactly at the threshold counts positive."""
-    return (predict_proba(params, features) >= threshold).astype(np.int64)
+    return is_positive(_logits(params, features), threshold).astype(np.int64)
 
 
 def loss(params: ModelParams, dataset: TabularDataset) -> float:
@@ -143,8 +171,9 @@ def gradient(params: ModelParams, dataset: TabularDataset):
 
 
 def _canonical_order(dataset: TabularDataset) -> np.ndarray:
-    # lexicographic row order: results must not depend on how the caller
-    # happened to order the shard, so sort before the seeded shuffle
+    # reference for the cached TabularDataset.canonical_order, which
+    # client_update uses: lexicographic row order, so results do not depend
+    # on how the caller happened to order the shard
     keys = [dataset.sensitive, dataset.labels]
     keys.extend(dataset.features[:, j] for j in range(dataset.dim - 1, -1, -1))
     return np.lexsort(keys)
@@ -159,7 +188,7 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
     """
     _check_dim(params, local)
     rng = np.random.default_rng(cfg.seed)
-    order = _canonical_order(local)
+    order = local.canonical_order
     X = local.features[order]
     y = local.labels[order].astype(np.float64)
     n = local.n

@@ -11,6 +11,7 @@ mu * rho**i, so consistently useful clients compound their influence.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,9 +23,18 @@ from .errors import (
     DegenerateWeightsError,
     MissingGroupError,
     MissingPositivesError,
+    NumericOverflowError,
     ShapeError,
 )
-from .metrics import ObjectiveSpec, ScoreVector, accuracy, eod, objective_score, spd
+from .metrics import (
+    ObjectiveSpec,
+    ScoreVector,
+    accuracy,
+    eod,
+    objective_scores,
+    positive_counts,
+    spd,
+)
 from .model import ModelParams, TrainConfig, client_cfg, client_update, loss
 from .reporting import ClientRoundRecord, RoundReport
 
@@ -90,12 +100,16 @@ class AggregationWeights:
             raise DegenerateWeightsError(f"aggregation weights sum to {sum(p)!r}, not 1")
 
 
-def temp_aggregate(global_params: ModelParams, client_params: ModelParams, alpha: float = 0.5) -> ModelParams:
-    """Convex blend alpha * client + (1 - alpha) * global used for scoring."""
+def _check_blend(global_params: ModelParams, client_params: ModelParams, alpha: float) -> None:
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"blend alpha must lie in [0, 1], got {alpha}")
     if global_params.dim != client_params.dim:
         raise ShapeError("global and client models disagree on dimension")
+
+
+def temp_aggregate(global_params: ModelParams, client_params: ModelParams, alpha: float = 0.5) -> ModelParams:
+    """Convex blend alpha * client + (1 - alpha) * global used for scoring."""
+    _check_blend(global_params, client_params, alpha)
     return ModelParams(
         alpha * client_params.weights + (1.0 - alpha) * global_params.weights,
         alpha * client_params.bias + (1.0 - alpha) * global_params.bias,
@@ -109,22 +123,34 @@ def score_clients(
     spec: ObjectiveSpec,
     alpha: float = 0.5,
 ) -> ScoreVector:
-    """Score each (client_id, params) pair on the server validation set."""
-    ids, composites, raw = [], [], []
-    for cid, params in client_models:
-        blended = temp_aggregate(global_params, params, alpha)
-        scores = {}
-        total = 0.0
-        for kind, weight in spec.entries:
-            try:
-                scores[kind] = objective_score(kind, blended, validation)
-            except (MissingGroupError, MissingPositivesError) as exc:
-                raise type(exc)(f"objective {kind!r} failed for client {cid}: {exc}") from exc
-            total += weight * scores[kind]
-        ids.append(cid)
-        composites.append(total)
-        raw.append(scores)
-    return ScoreVector(tuple(ids), tuple(composites), tuple(raw))
+    """Score each (client_id, params) pair on the server validation set.
+
+    The blends (as `temp_aggregate` forms them) are stacked and classified
+    in one blocked pass over the validation rows, and every objective is
+    derived from per-cell counts.  Each score equals, bit for bit,
+    `objective_score` on that client's blend, the per-model reference.
+    """
+    models = list(client_models)
+    if not models:
+        return ScoreVector((), (), ())
+    for _, params in models:
+        _check_blend(global_params, params, alpha)
+    ids = [cid for cid, _ in models]
+    weights = alpha * np.stack([p.weights for _, p in models]) + (1.0 - alpha) * global_params.weights
+    biases = alpha * np.array([p.bias for _, p in models]) + (1.0 - alpha) * global_params.bias
+    counts, sizes = positive_counts(weights, biases, validation)
+
+    columns = {}
+    composite = np.zeros(len(models))
+    for kind, weight in spec.entries:
+        try:
+            scores = objective_scores(kind, counts, sizes)
+        except (MissingGroupError, MissingPositivesError) as exc:
+            raise type(exc)(f"objective {kind!r} failed for client {ids[0]}: {exc}") from exc
+        composite = composite + weight * scores
+        columns[kind] = scores.tolist()
+    raw = tuple({kind: column[i] for kind, column in columns.items()} for i in range(len(ids)))
+    return ScoreVector(tuple(ids), tuple(composite.tolist()), raw)
 
 
 def rank_update(scores: ScoreVector, state: RankState, cfg: RankingConfig) -> RankState:
@@ -140,7 +166,16 @@ def rank_update(scores: ScoreVector, state: RankState, cfg: RankingConfig) -> Ra
     rs = dict(state.rs)
     for position, i in enumerate(order):
         cid = scores.client_ids[i]
-        rs[cid] = rs.get(cid, 0.0) + cfg.initial_step * cfg.step_size**position
+        try:
+            mass = rs.get(cid, 0.0) + cfg.initial_step * cfg.step_size**position
+        except OverflowError:  # float ** raises where * and + give inf
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise NumericOverflowError(
+                f"rank mass of client {cid} overflows at rank position {position} "
+                f"(initial_step {cfg.initial_step}, step_size {cfg.step_size}, {len(order)} clients)"
+            )
+        rs[cid] = mass
     return RankState(rs)
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fedval
 from fedval.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from fedval.data import DatasetSchema, load_csv
 from fedval.harness import preset_names
@@ -221,10 +224,14 @@ def test_sweep_without_base_is_config_error(tmp_path, capsys):
 
 
 def test_installed_script_smoke():
+    # the child imports the same fedval as this process, installed or not
+    package_root = str(Path(fedval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fedval.cli", "preset", "list"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "adult-fedval-10" in proc.stdout

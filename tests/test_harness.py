@@ -356,3 +356,18 @@ def test_run_sweep_records_failing_cells(tmp_path):
     assert len(result.cells) == 2
     for c in result.cells:
         assert (c.final is not None) != (c.error is not None)
+
+
+def test_run_sweep_records_rank_overflow_and_finishes(tmp_path):
+    # step_size**2 leaves the float range, so every ranked cell overflows in
+    # its first round; the unranked cells must still run and be summarised
+    base = tiny_config(k=3, rounds=1, ranking=RankingConfig(enabled=True, step_size=1e200))
+    spec = SweepSpec((0, 3), (SweepVariant("rank", True), SweepVariant("norank", False)), (1,))
+    result = run_sweep(spec, base, out_dir=tmp_path / "s")
+    assert len(result.cells) == 4
+    for cell in result.cells:
+        if cell.variant == "rank":
+            assert cell.final is None and "rank mass" in cell.error
+        else:
+            assert cell.error is None and cell.final is not None
+    assert [row["replicates_ok"] for row in result.summary_rows] == [0, 1, 0, 1]

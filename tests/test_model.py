@@ -10,10 +10,13 @@ from fedval.errors import ConfigError, ShapeError
 from fedval.model import (
     ModelParams,
     TrainConfig,
+    _canonical_order,
+    _sigmoid,
     classify,
     client_cfg,
     client_update,
     gradient,
+    is_positive,
     loss,
     predict_proba,
 )
@@ -318,6 +321,30 @@ def test_classify_is_thresholded_proba():
     params = random_params(4, seed=6)
     got = classify(params, features)
     assert np.array_equal(got, (predict_proba(params, features) >= 0.5).astype(np.int64))
+
+
+def test_is_positive_equals_the_sigmoid_rule():
+    # exactness bound: none; the sign shortcut must never change a decision
+    tiny = np.array([-1e-17, -2.0**-54, -5.55e-17, -1e-16, -1e-13, -1e-12, -1e-11, 0.0, -0.0, 5e-324, -5e-324])
+    near = np.nextafter(tiny, -np.inf)
+    rng = np.random.default_rng(3)
+    spread = np.concatenate([rng.standard_normal(500), -(10.0 ** rng.uniform(-20, 3, 1998)), [-800.0, 800.0]])
+    for z in (tiny, near, spread, spread.reshape(5, -1)):
+        assert np.array_equal(is_positive(z), _sigmoid(z) >= 0.5)
+        assert np.array_equal(is_positive(z, 0.75), _sigmoid(z) >= 0.75)
+    assert is_positive(np.array([-1e-17]))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), perm_seed=st.integers(0, 2**31))
+def test_cached_canonical_order_equals_reference(seed, perm_seed):
+    ds = coverage_dataset(30, 3, seed=seed % 4096)
+    # repeated rows exercise the label and group tie-breaks
+    shuffled = ds.subset(np.random.default_rng(perm_seed).integers(0, 30, 45))
+    order = shuffled.canonical_order
+    assert np.array_equal(order, _canonical_order(shuffled))
+    assert shuffled.canonical_order is order
+    assert not order.flags.writeable
 
 
 def test_two_point_separable_descent_is_monotone():

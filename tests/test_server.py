@@ -3,10 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedval.data import GROUP_A, GROUP_D, ClientProfile, ClientSpec, generate_synthetic, partition, split_validation
-from fedval.errors import ConfigError, DegenerateWeightsError, MissingPositivesError, ShapeError
-from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, spd
-from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, loss
+from fedval.data import (
+    GROUP_A,
+    GROUP_D,
+    ClientProfile,
+    ClientSpec,
+    TabularDataset,
+    generate_synthetic,
+    partition,
+    split_validation,
+)
+from fedval.errors import (
+    ConfigError,
+    DegenerateWeightsError,
+    MissingGroupError,
+    MissingPositivesError,
+    NumericOverflowError,
+    ShapeError,
+)
+from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, objective_score, spd
+from fedval.model import ModelParams, TrainConfig, classify, client_cfg, client_update, loss
 from fedval.server import (
     AggregationWeights,
     RankingConfig,
@@ -141,6 +157,83 @@ def test_score_clients_error_names_client_and_objective():
         score_clients(ModelParams.zeros(1), [(7, UNIT_MODEL)], broken, ALL_THREE, alpha=1.0)
 
 
+def test_score_clients_missing_group_names_client_and_objective():
+    only_a = pattern_dataset([1, 0, 1], [1, 0, 1], [GROUP_A, GROUP_A, GROUP_A])
+    with pytest.raises(MissingGroupError, match="objective 'spd' failed for client 3: spd: .* group 'd'"):
+        score_clients(ModelParams.zeros(1), [(3, UNIT_MODEL), (4, UNIT_MODEL)], only_a, ALL_THREE)
+
+
+def _per_model_scores(global_params, models, validation, spec, alpha):
+    """The per-model reference: objective_score on each blend, composite summed in spec order."""
+    raw, composites = [], []
+    for _, params in models:
+        blended = temp_aggregate(global_params, params, alpha)
+        scores = {kind: objective_score(kind, blended, validation) for kind, _ in spec.entries}
+        total = 0.0
+        for kind, weight in spec.entries:
+            total += weight * scores[kind]
+        raw.append(scores)
+        composites.append(total)
+    return tuple(raw), tuple(composites)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    n=st.integers(4, 120),
+    alpha=st.floats(0.0, 1.0),
+    entries=st.lists(
+        st.tuples(st.sampled_from(("accuracy", "spd", "eod")), st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda e: e[0],
+    ).filter(lambda es: any(w > 0 for _, w in es)),
+    seed=st.integers(0, 2**16),
+)
+def test_score_clients_equals_per_model_oracle_bitwise(k, dim, n, alpha, entries, seed):
+    # exactness bound: none; batched counts must reproduce every float64 bit
+    spec = ObjectiveSpec(tuple(entries))
+    validation = coverage_dataset(n, dim, seed)
+    global_params = random_params(dim, seed + 1)
+    models = [(10 * i + 3, random_params(dim, seed + 2 + i, scale=2.0)) for i in range(k)]
+    sv = score_clients(global_params, models, validation, spec, alpha)
+    raw, composites = _per_model_scores(global_params, models, validation, spec, alpha)
+    assert sv.client_ids == tuple(cid for cid, _ in models)
+    assert sv.per_objective == raw
+    assert [list(d) for d in sv.per_objective] == [list(spec.kinds)] * k
+    assert sv.composite == composites
+
+
+def test_score_clients_counts_a_tiny_negative_logit_as_positive():
+    # w=(1, 0), b=0: the first row's logit is exactly -1e-17, whose sigmoid
+    # rounds to 0.5 and so counts positive; a sign test would call it negative
+    model = ModelParams(np.array([1.0, 0.0]), 0.0)
+    rows = np.array([[-1e-17, 5.0], [-1e-17, 5.0], [10.0, 0.0], [-10.0, 0.0], [-1e-17, 1.0], [10.0, 1.0]])
+    validation = TabularDataset(rows, np.array([1, 0, 1, 0, 1, 1]), np.array([1, 1, 1, 0, 0, 0]))
+    assert classify(model, rows)[0] == 1
+    for k in (1, 3):
+        models = [(i, model) for i in range(k)]
+        sv = score_clients(model, models, validation, ALL_THREE, alpha=0.5)
+        raw, composites = _per_model_scores(model, models, validation, ALL_THREE, 0.5)
+        assert sv.per_objective == raw
+        assert sv.composite == composites
+        # only the row at -10 is predicted negative; calling the -1e-17 rows
+        # negative instead would give 4/6
+        assert sv.per_objective[0]["accuracy"] == 5 / 6
+
+
+def test_score_clients_empty_and_shape_errors():
+    empty = score_clients(UNIT_MODEL, [], VAL, ALL_THREE)
+    assert empty == ScoreVector((), (), ())
+    with pytest.raises(ShapeError):
+        score_clients(ModelParams.zeros(2), [(0, ModelParams.zeros(2))], VAL, ALL_THREE)
+    with pytest.raises(ShapeError):
+        score_clients(UNIT_MODEL, [(0, UNIT_MODEL), (1, ModelParams.zeros(2))], VAL, ALL_THREE)
+    with pytest.raises(ConfigError):
+        score_clients(UNIT_MODEL, [(0, UNIT_MODEL)], VAL, ALL_THREE, alpha=1.5)
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -189,6 +282,20 @@ def test_rank_update_total_mass_closed_form():
             state = rank_update(_sv(ids, tuple(0.1 * (i + 1) for i in ids)), state, cfg)
         expected = rounds * mu * (rho**k - 1.0) / (rho - 1.0)
         assert sum(state.rs.values()) == pytest.approx(expected, rel=1e-12)
+
+
+def test_rank_update_overflow_is_a_numeric_error():
+    # the health-fedval-10 step size: 10.0**position leaves the float range past 308
+    ids = tuple(range(400))
+    cfg = RankingConfig(enabled=True, initial_step=1.0, step_size=10.0)
+    state = RankState.zeros(ids)
+    with pytest.raises(NumericOverflowError, match="rank position 309"):
+        rank_update(_sv(ids, [float(i) for i in ids]), state, cfg)
+    assert state.rs == dict.fromkeys(ids, 0.0)
+    # an overflowing sum with a representable increment is caught as well
+    near_max = RankState({0: 1.7e308, 1: 0.0})
+    with pytest.raises(NumericOverflowError, match="client 0"):
+        rank_update(_sv((0, 1), (2.0, 1.0)), near_max, RankingConfig(initial_step=1e308, step_size=1.0))
 
 
 def test_rank_update_never_loses_mass():
