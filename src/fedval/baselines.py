@@ -15,6 +15,7 @@ vector), local losses, and the intermediates the update used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,11 +129,47 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
 
 
 def _check_finite(value, client_id, what):
-    if not np.all(np.isfinite(value)):
+    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if not finite:
         raise NumericOverflowError(
             f"{what} overflowed for client {client_id}; reduce q or the loss scale"
         )
     return value
+
+
+def _pow(base: float, exponent: float) -> float:
+    try:
+        return base**exponent
+    except OverflowError:  # float ** raises where * and + give inf
+        return math.inf
+
+
+def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
+    """q-FFL's delta_k = F**q * direction and h_k = q F**(q-1) |direction|^2 + L F**q.
+
+    Returns (delta, h, |direction|^2).  A term that leaves the float range
+    raises NumericOverflowError naming the client and the term.
+    """
+    fq = _check_finite(_pow(f, qcfg.q), client_id, "F**q")
+    with np.errstate(over="ignore"):  # an overflowing product is reported just below
+        delta = _check_finite(fq * direction, client_id, "delta")
+    norm2 = float(direction @ direction)
+    if qcfg.q == 0:
+        h = qcfg.lipschitz * fq
+    else:
+        h = qcfg.q * _pow(f, qcfg.q - 1.0) * norm2 + qcfg.lipschitz * fq
+    return delta, _check_finite(h, client_id, "h"), norm2
+
+
+def _q_step(global_flat: np.ndarray, ordered, deltas, hs):
+    """The server's q-FFL move by sum(delta) / sum(h), with the weights h / sum(h)."""
+    total_h = float(np.sum(hs))
+    step = np.sum(deltas, axis=0) / total_h
+    weights = AggregationWeights(
+        tuple(c.client_id for c in ordered),
+        tuple(float(h) / total_h for h in hs),
+    )
+    return _unflat(global_flat - step), weights
 
 
 def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
@@ -147,25 +184,12 @@ def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
     for c in ordered:
         f = loss(global_params, c.data)
         gw, gb = gradient(global_params, c.data)
-        g = np.concatenate([gw, [gb]])
-        fq = _check_finite(f**qcfg.q, c.client_id, "F**q")
-        delta = _check_finite(fq * g, c.client_id, "delta")
-        gnorm2 = float(g @ g)
-        if qcfg.q == 0:
-            h = qcfg.lipschitz * fq
-        else:
-            h = qcfg.q * f ** (qcfg.q - 1.0) * gnorm2 + qcfg.lipschitz * fq
-        hs.append(_check_finite(h, c.client_id, "h"))
+        delta, h, gnorm2 = _q_terms(f, np.concatenate([gw, [gb]]), qcfg, c.client_id)
         deltas.append(delta)
+        hs.append(h)
         losses[c.client_id] = f
         extras[c.client_id] = {"grad_norm_sq": gnorm2, "h": float(h)}
-    total_h = float(np.sum(hs))
-    step = np.sum(deltas, axis=0) / total_h
-    new_global = _unflat(_flat(global_params) - step)
-    weights = AggregationWeights(
-        tuple(c.client_id for c in ordered),
-        tuple(float(h) / total_h for h in hs),
-    )
+    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs)
     return new_global, RoundInfo(weights, losses, extras)
 
 
@@ -177,29 +201,18 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     losses evaluated at the incoming global model.
     """
     ordered = _ordered(clients)
+    global_flat = _flat(global_params)
     deltas, hs, losses, extras = [], [], {}, {}
     for c in ordered:
         local = client_update(global_params, c.data, client_cfg(train_cfg, c.client_id))
         f = loss(global_params, c.data)
-        dw = qcfg.lipschitz * (_flat(global_params) - _flat(local))
-        fq = _check_finite(f**qcfg.q, c.client_id, "F**q")
-        delta = _check_finite(fq * dw, c.client_id, "delta")
-        dnorm2 = float(dw @ dw)
-        if qcfg.q == 0:
-            h = qcfg.lipschitz * fq
-        else:
-            h = qcfg.q * f ** (qcfg.q - 1.0) * dnorm2 + qcfg.lipschitz * fq
-        hs.append(_check_finite(h, c.client_id, "h"))
+        dw = qcfg.lipschitz * (global_flat - _flat(local))
+        delta, h, _ = _q_terms(f, dw, qcfg, c.client_id)
         deltas.append(delta)
+        hs.append(h)
         losses[c.client_id] = f
-        extras[c.client_id] = {"local_model": local.to_dict(), "h": float(h)}
-    total_h = float(np.sum(hs))
-    step = np.sum(deltas, axis=0) / total_h
-    new_global = _unflat(_flat(global_params) - step)
-    weights = AggregationWeights(
-        tuple(c.client_id for c in ordered),
-        tuple(float(h) / total_h for h in hs),
-    )
+        extras[c.client_id] = {"h": float(h)}
+    new_global, weights = _q_step(global_flat, ordered, deltas, hs)
     return new_global, RoundInfo(weights, losses, extras)
 
 

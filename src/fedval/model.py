@@ -96,13 +96,11 @@ def client_cfg(cfg: TrainConfig, client_id: int) -> TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # evaluated piecewise so neither branch exponentiates a large positive
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # branch-free form of the piecewise sigmoid: exp only ever sees -|z|, and
+    # each element takes the float operations of its branch, 1 / (1 + e^-z)
+    # for z >= 0 and e^z / (1 + e^z) below, so results match bit for bit
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_dim(params: ModelParams, dataset: TabularDataset) -> None:
@@ -189,18 +187,30 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
     _check_dim(params, local)
     rng = np.random.default_rng(cfg.seed)
     order = local.canonical_order
-    X = local.features[order]
-    y = local.labels[order].astype(np.float64)
-    n = local.n
+    features = local.features
+    labels = local.labels.astype(np.float64)
+    n, size, lr = local.n, cfg.batch_size, cfg.lr
 
     w = params.weights.copy()
     b = params.bias
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb = X[idx]
-            err = _sigmoid(xb @ w + b) - y[idx]
-            w -= cfg.lr * (xb.T @ err) / len(idx)
-            b -= cfg.lr * float(err.mean())
+        # one gather per epoch puts the shuffled rows in batch order, so
+        # each step reads contiguous slices
+        rows = order[rng.permutation(n)]
+        X = features[rows]
+        y = labels[rows]
+        for start in range(0, n, size):
+            xb = X[start : start + size]
+            m = xb.shape[0]
+            z = xb @ w
+            z += b
+            e = np.exp(-np.abs(z))  # _sigmoid, inlined
+            err = np.where(z >= 0, 1.0, e) / (1.0 + e)
+            err -= y[start : start + size]
+            # in place, in the order of w -= lr * (xb.T @ err) / m
+            g = xb.T @ err
+            g *= lr
+            g /= m
+            w -= g
+            b -= lr * float(np.add.reduce(err) / m)  # err.mean(), without its dispatch
     return ModelParams(w, b)

@@ -41,3 +41,38 @@ def rows_as_multiset(ds: TabularDataset):
     return Counter(
         (tuple(ds.features[i]), int(ds.labels[i]), int(ds.sensitive[i])) for i in range(ds.n)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the fast model code is checked against
+# ---------------------------------------------------------------------------
+
+
+def reference_sigmoid(z):
+    """The piecewise sigmoid: neither branch exponentiates a large positive."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_client_update(params, local, cfg):
+    """Per-batch mini-batch SGD: gathers each batch from the canonical order
+    through the epoch's permutation and steps out of place."""
+    rng = np.random.default_rng(cfg.seed)
+    order = local.canonical_order
+    X = local.features[order]
+    y = local.labels[order].astype(np.float64)
+    w = params.weights.copy()
+    b = params.bias
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(local.n)
+        for start in range(0, local.n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            xb = X[idx]
+            err = reference_sigmoid(xb @ w + b) - y[idx]
+            w -= cfg.lr * (xb.T @ err) / len(idx)
+            b -= cfg.lr * float(err.mean())
+    return ModelParams(w, b)

@@ -13,8 +13,8 @@ from fedval.baselines import (
     qfedavg_round,
     qfedsgd_round,
 )
-from fedval.data import ClientProfile, ClientSpec, generate_synthetic, partition
-from fedval.errors import ConfigError, ShapeError
+from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
+from fedval.errors import ConfigError, NumericOverflowError, ShapeError
 from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
 from helpers import coverage_dataset, random_params
 
@@ -242,6 +242,31 @@ def test_qfed_rounds_are_deterministic(shards):
     a, _ = qfedavg_round(start, shards, cfg, QConfig(q=5.0))
     b, _ = qfedavg_round(start, shards, cfg, QConfig(q=5.0))
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+
+def _confidently_wrong(client_id, scale):
+    """A client whose every row is positive while the model returned with it
+    gives each row a logit of -13, so its loss there is about 13."""
+    data = TabularDataset(np.full((8, 1), -scale), np.ones(8, dtype=np.int64), np.arange(8) % 2)
+    return ClientProfile(client_id, "cooperative", data), ModelParams(np.array([13.0 / scale]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "q, scale, term",
+    [
+        (400.0, 1.0, "F\\*\\*q"),  # 13**400 leaves the float range inside float **
+        (269.0, 1e10, "delta"),  # 13**269 ~ 4e299 is finite; times a ~1e10 direction it is not
+    ],
+)
+def test_qfed_rounds_report_overflow_as_a_numeric_error(q, scale, term):
+    client, start = _confidently_wrong(7, scale)
+    assert loss(start, client.data) == pytest.approx(13.0, abs=1e-4)
+    cfg = TrainConfig(epochs=1, batch_size=4, lr=0.1, seed=0)
+    with pytest.raises(NumericOverflowError, match=f"^{term} overflowed for client 7"):
+        qfedsgd_round(start, [client], QConfig(q=q))
+    with pytest.raises(NumericOverflowError, match=f"^{term} overflowed for client 7"):
+        qfedavg_round(start, [client], cfg, QConfig(q=q))
 
 
 # ---------------------------------------------------------------------------

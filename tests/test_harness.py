@@ -371,3 +371,21 @@ def test_run_sweep_records_rank_overflow_and_finishes(tmp_path):
         else:
             assert cell.error is None and cell.final is not None
     assert [row["replicates_ok"] for row in result.summary_rows] == [0, 1, 0, 1]
+
+
+def test_run_sweep_records_q_overflow_and_finishes(tmp_path):
+    # a near-zero Lipschitz estimate makes q-FedAvg adopt the mean of local
+    # models trained with a huge step; with seed 1 a client's loss at round 3
+    # raised to q=400 leaves the float range, with seed 2 no loss grows that far
+    base = tiny_config(
+        strategy="qfedavg",
+        rounds=3,
+        qfed=QConfig(q=400.0, lipschitz=1e-9),
+        train=TrainConfig(epochs=3, batch_size=16, lr=100.0, seed=0),
+    )
+    spec = SweepSpec((1,), (SweepVariant("norank", False),), (1, 2))
+    result = run_sweep(spec, base, out_dir=tmp_path / "s")
+    failed, finished = result.cells
+    assert failed.final is None and failed.error.startswith("F**q overflowed for client ")
+    assert finished.error is None and finished.final is not None
+    assert result.summary_rows[0]["replicates_ok"] == 1

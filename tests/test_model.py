@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedval.data import TabularDataset
@@ -20,7 +20,7 @@ from fedval.model import (
     loss,
     predict_proba,
 )
-from helpers import coverage_dataset, random_params
+from helpers import coverage_dataset, random_params, reference_client_update, reference_sigmoid
 
 # Frozen oracle values, computed by hand from the closed forms.
 # sigmoid(z) = 1 / (1 + exp(-z))
@@ -298,6 +298,32 @@ def test_row_order_invariance_property(seed, perm_seed):
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 400),
+    dim=st.integers(1, 12),
+    batch=st.integers(1, 64),
+    epochs=st.integers(1, 3),
+    lr=st.floats(1e-3, 5.0),
+    scale=st.floats(1e-2, 100.0),
+)
+@example(seed=1, n=1, dim=1, batch=1, epochs=1, lr=0.1, scale=1.0)
+@example(seed=2, n=20, dim=5, batch=64, epochs=2, lr=5.0, scale=100.0)  # batch > n
+@example(seed=3, n=400, dim=12, batch=63, epochs=3, lr=1.0, scale=1.0)  # ragged last batch of 22
+def test_client_update_equals_the_per_batch_reference(seed, n, dim, batch, epochs, lr, scale):
+    # exactness bound: none.  The one-gather-per-epoch loop with its in-place
+    # step must repeat the reference's float operations bit for bit.
+    rng = np.random.default_rng(seed)
+    ds = TabularDataset(scale * rng.standard_normal((n, dim)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+    start = random_params(dim, seed=seed % 977)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch, lr=lr, seed=seed)
+    got = client_update(start, ds, cfg)
+    want = reference_client_update(start, ds, cfg)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.bias == want.bias
+
 def test_training_reduces_loss_on_separable_data():
     ds = coverage_dataset(200, 3, seed=10)
     cfg = TrainConfig(epochs=10, batch_size=32, lr=0.5, seed=0)
@@ -334,6 +360,17 @@ def test_is_positive_equals_the_sigmoid_rule():
         assert np.array_equal(is_positive(z, 0.75), _sigmoid(z) >= 0.75)
     assert is_positive(np.array([-1e-17]))[0]
 
+
+
+def test_sigmoid_equals_the_piecewise_reference():
+    # exactness bound: none, compared as bit patterns.  Each element takes the
+    # float operations of its piecewise branch.
+    edges = np.array([0.0, 1e-17, 1e-12, 709.0, 745.0, 1e308, np.inf])
+    rng = np.random.default_rng(11)
+    spread = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-20, 3, 10**6)
+    for z in (np.concatenate([edges, -edges]), spread):
+        got, want = _sigmoid(z), reference_sigmoid(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), perm_seed=st.integers(0, 2**31))
