@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientProfile
-from .errors import ConfigError, NumericOverflowError, ShapeError
+from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from .model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
 from .server import AggregationWeights, aggregate
 
@@ -161,9 +161,13 @@ def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
     return delta, _check_finite(h, client_id, "h"), norm2
 
 
-def _q_step(global_flat: np.ndarray, ordered, deltas, hs):
+def _q_step(global_flat: np.ndarray, ordered, deltas, hs, qcfg: QConfig):
     """The server's q-FFL move by sum(delta) / sum(h), with the weights h / sum(h)."""
     total_h = float(np.sum(hs))
+    if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
+        raise DegenerateWeightsError(
+            f"q-FFL weights sum to {total_h} at q={qcfg.q}: every h_k underflowed; reduce q"
+        )
     step = np.sum(deltas, axis=0) / total_h
     weights = AggregationWeights(
         tuple(c.client_id for c in ordered),
@@ -189,7 +193,7 @@ def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
         hs.append(h)
         losses[c.client_id] = f
         extras[c.client_id] = {"grad_norm_sq": gnorm2, "h": float(h)}
-    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs)
+    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
     return new_global, RoundInfo(weights, losses, extras)
 
 
@@ -212,7 +216,7 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
         hs.append(h)
         losses[c.client_id] = f
         extras[c.client_id] = {"h": float(h)}
-    new_global, weights = _q_step(global_flat, ordered, deltas, hs)
+    new_global, weights = _q_step(global_flat, ordered, deltas, hs, qcfg)
     return new_global, RoundInfo(weights, losses, extras)
 
 
@@ -234,7 +238,9 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
     losses = {}
     for c in ordered:
         gw, gb = gradient(global_params, c.data)
-        mixed += lam[c.client_id] * np.concatenate([gw, [gb]])
+        weight = lam[c.client_id]
+        mixed[:-1] += weight * gw  # element for element, mixed += weight * [gw, gb]
+        mixed[-1] += weight * gb
         losses[c.client_id] = loss(global_params, c.data)
     new_global = _unflat(_flat(global_params) - train_cfg.lr * mixed)
 

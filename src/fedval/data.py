@@ -33,6 +33,10 @@ GROUP_A = 1  # advantaged
 
 BEHAVIORS = ("cooperative", "normal", "uncooperative")
 
+# the (group, label) cells a1, a0, d1, d0 that group metrics count over, in
+# the column order of TabularDataset.cells
+CELLS = ((GROUP_A, 1), (GROUP_A, 0), (GROUP_D, 1), (GROUP_D, 0))
+
 # bounded retries for the validation-split coverage requirement
 _SPLIT_RETRIES = 32
 
@@ -88,6 +92,29 @@ class TabularDataset:
         order = np.lexsort(keys)
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """Boolean mask of the rows labelled 1, read-only."""
+        mask = self.labels == 1
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """(n, 4) float64 membership of each row in the `CELLS`, read-only."""
+        members = np.array(
+            [(self.sensitive == g) & (self.labels == y) for g, y in CELLS], dtype=np.float64
+        ).T
+        members.flags.writeable = False
+        return members
+
+    @cached_property
+    def cell_sizes(self) -> np.ndarray:
+        """(4,) row count of each of the `CELLS`, exact integers in float64, read-only."""
+        sizes = self.cells.sum(axis=0)
+        sizes.flags.writeable = False
+        return sizes
 
     def subset(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -18,14 +18,11 @@ import numpy as np
 
 from .data import GROUP_A, GROUP_D, TabularDataset
 from .errors import ConfigError, MissingGroupError, MissingPositivesError, ShapeError
-from .model import ModelParams, classify, is_positive
+from .model import ModelParams, _logits, is_positive
 
 OBJECTIVE_KINDS = ("accuracy", "spd", "eod")
 
 _GROUP_NAMES = {GROUP_A: "a", GROUP_D: "d"}
-
-# (group, label) cells of a dataset, in the row order of `positive_counts`
-_CELLS = ((GROUP_A, 1), (GROUP_A, 0), (GROUP_D, 1), (GROUP_D, 0))
 
 # models classified per block in `positive_counts`: the (block, n) logits are
 # the pass's working set.  On the fedval-100 preset (4000 validation rows)
@@ -46,36 +43,52 @@ def _no_positives(group_value):
     )
 
 
+def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
+    """Accuracy, or the SPD or EOD gap, from positive-prediction counts per cell.
+
+    `counts` holds four floats for one model or four (K,) arrays for K
+    models, in the order of `data.CELLS`; `sizes` holds the four cell sizes.
+    Every rate divides an exact integer count by an exact integer size, as
+    a frequency over the predictions does, so the values are the counting
+    definitions' bits.
+    """
+    a1, a0, d1, d0 = counts
+    na1, na0, nd1, nd0 = sizes
+    if kind == "accuracy":
+        return (a1 + d1 + (na0 - a0) + (nd0 - d0)) / (na1 + na0 + nd1 + nd0)
+    if kind == "spd":
+        for group_value, rows in ((GROUP_A, na1 + na0), (GROUP_D, nd1 + nd0)):
+            if rows == 0:
+                raise _no_rows(group_value, metric="spd")
+        return abs((a1 + a0) / (na1 + na0) - (d1 + d0) / (nd1 + nd0))
+    if kind == "eod":
+        for group_value, rows in ((GROUP_A, na1), (GROUP_D, nd1)):
+            if rows == 0:
+                raise _no_positives(group_value)
+        return abs(a1 / na1 - d1 / nd1)
+    raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
+
+
+def _global_metric(kind: str, params: ModelParams, dataset: TabularDataset) -> float:
+    # one classification, then the four cell counts as Python floats, whose
+    # arithmetic is float64's without numpy's per-scalar dispatch
+    counts = is_positive(_logits(params, dataset.features)) @ dataset.cells
+    return _metric_values(kind, counts.tolist(), dataset.cell_sizes.tolist())
+
+
 def accuracy(params: ModelParams, dataset: TabularDataset) -> float:
     """Fraction of rows classified correctly."""
-    pred = classify(params, dataset.features)
-    return float(np.mean(pred == dataset.labels))
-
-
-def _positive_share(pred, mask, group_value, *, metric):
-    if not mask.any():
-        raise _no_rows(group_value, metric=metric)
-    return float(pred[mask].mean())
+    return _global_metric("accuracy", params, dataset)
 
 
 def spd(params: ModelParams, dataset: TabularDataset) -> float:
     """Absolute gap in positive prediction rate between the two groups."""
-    pred = classify(params, dataset.features)
-    share_a = _positive_share(pred, dataset.sensitive == GROUP_A, GROUP_A, metric="spd")
-    share_d = _positive_share(pred, dataset.sensitive == GROUP_D, GROUP_D, metric="spd")
-    return abs(share_a - share_d)
+    return _global_metric("spd", params, dataset)
 
 
 def eod(params: ModelParams, dataset: TabularDataset) -> float:
     """Absolute true-positive-rate gap between the two groups."""
-    pred = classify(params, dataset.features)
-    rates = {}
-    for group_value in (GROUP_A, GROUP_D):
-        mask = (dataset.sensitive == group_value) & (dataset.labels == 1)
-        if not mask.any():
-            raise _no_positives(group_value)
-        rates[group_value] = float(pred[mask].mean())
-    return abs(rates[GROUP_A] - rates[GROUP_D])
+    return _global_metric("eod", params, dataset)
 
 
 def objective_score(kind: str, params: ModelParams, validation: TabularDataset) -> float:
@@ -99,38 +112,24 @@ def positive_counts(weights: np.ndarray, biases: np.ndarray, dataset: TabularDat
     """
     if weights.shape[1] != dataset.dim:
         raise ShapeError(f"features must be (n, {weights.shape[1]}), got {dataset.features.shape}")
-    cells = np.array(
-        [(dataset.sensitive == g) & (dataset.labels == y) for g, y in _CELLS], dtype=np.float64
-    ).T
-    counts = np.empty((len(weights), len(_CELLS)))
+    cells = dataset.cells
+    counts = np.empty((len(weights), cells.shape[1]))
     for start in range(0, len(weights), _BLOCK):
         block = slice(start, start + _BLOCK)
         logits = weights[block] @ dataset.features.T + biases[block, None]
         counts[block] = is_positive(logits) @ cells
-    return counts.T, cells.sum(axis=0)
+    return counts.T, dataset.cell_sizes
 
 
 def objective_scores(kind: str, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """`objective_score` of every model from its `positive_counts`, as a (K,) array.
 
-    Each rate divides an exact integer count by an exact cell size, as
-    `objective_score` does, so the two agree bit for bit.
+    The values come from the same cell-count formulas as `accuracy`, `spd`
+    and `eod`, and the gaps become 1 - gap as in `objective_score`, so the
+    two agree bit for bit.
     """
-    a1, a0, d1, d0 = counts
-    na1, na0, nd1, nd0 = sizes
-    if kind == "accuracy":
-        return (a1 + d1 + (na0 - a0) + (nd0 - d0)) / sizes.sum()
-    if kind == "spd":
-        for group_value, rows in ((GROUP_A, na1 + na0), (GROUP_D, nd1 + nd0)):
-            if rows == 0:
-                raise _no_rows(group_value, metric="spd")
-        return 1.0 - np.abs((a1 + a0) / (na1 + na0) - (d1 + d0) / (nd1 + nd0))
-    if kind == "eod":
-        for group_value, rows in ((GROUP_A, na1), (GROUP_D, nd1)):
-            if rows == 0:
-                raise _no_positives(group_value)
-        return 1.0 - np.abs(a1 / na1 - d1 / nd1)
-    raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
+    values = _metric_values(kind, counts, sizes)
+    return values if kind == "accuracy" else 1.0 - values
 
 
 @dataclass(frozen=True)

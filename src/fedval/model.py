@@ -108,16 +108,35 @@ def _check_dim(params: ModelParams, dataset: TabularDataset) -> None:
         raise ShapeError(f"model expects {params.dim} features, dataset has {dataset.dim}")
 
 
-def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
+def _checked(params: ModelParams, features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.dim:
         raise ShapeError(f"features must be (n, {params.dim}), got {X.shape}")
-    return X @ params.weights + params.bias
+    return X
+
+
+def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    return _checked(params, features) @ params.weights + params.bias
+
+
+def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    # _sigmoid(X @ w + b) bit for bit in two work arrays, for an X already
+    # checked against params: where(z >= 0, 1, e) is exp(min(z, 0)), since
+    # -|z| is z below 0 and exp(0) is exactly 1, and copysign(z, -1) is -|z|
+    z = X @ params.weights
+    z += params.bias
+    e = np.copysign(z, -1.0)
+    np.exp(e, out=e)
+    e += 1.0
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    z /= e
+    return z
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Positive-class probabilities for each row of `features`."""
-    return _sigmoid(_logits(params, features))
+    return _proba(params, _checked(params, features))
 
 
 def is_positive(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -134,7 +153,7 @@ def is_positive(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     # z <= -_SIGN_DECIDES: exp(z) is at most about 1 - 1e-12, so
     # exp(z) / (1 + exp(z)) lies ~2.5e-13 below 0.5, far beyond rounding.
     positive = logits >= 0
-    near = (logits < 0) & (logits > -_SIGN_DECIDES)
+    near = (logits > -_SIGN_DECIDES) ^ positive  # -_SIGN_DECIDES < logit < 0
     if near.any():
         positive[near] = _sigmoid(logits[near]) >= 0.5
     return positive
@@ -150,11 +169,15 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
     if dataset.n == 0:
         raise EmptyDatasetError("loss needs at least one row")
     _check_dim(params, dataset)
-    p = np.clip(predict_proba(params, dataset.features), _CLAMP, 1.0 - _CLAMP)
-    y = dataset.labels
-    terms = y * np.log(p) + (1 - y) * np.log(1.0 - p)
+    p = _proba(params, dataset.features)
+    np.maximum(p, _CLAMP, out=p)
+    np.minimum(p, 1.0 - _CLAMP, out=p)
+    # one log per row: the clamp keeps log(p) and log(1 - p) finite and
+    # nonzero, so y log(p) + (1 - y) log(1 - p) is exactly the log taken here
+    terms = np.log(np.where(dataset.positive, p, 1.0 - p))
     # summation order fixed by value so row permutations cannot move the result
-    return float(-np.mean(np.sort(terms)))
+    terms.sort()
+    return float(-(np.add.reduce(terms) / dataset.n))  # -np.mean, without its dispatch
 
 
 def gradient(params: ModelParams, dataset: TabularDataset):
@@ -162,9 +185,11 @@ def gradient(params: ModelParams, dataset: TabularDataset):
     if dataset.n == 0:
         raise EmptyDatasetError("gradient needs at least one row")
     _check_dim(params, dataset)
-    err = predict_proba(params, dataset.features) - dataset.labels
-    grad_w = dataset.features.T @ err / dataset.n
-    grad_b = float(err.mean())
+    err = _proba(params, dataset.features)
+    err -= dataset.labels
+    grad_w = dataset.features.T @ err
+    grad_w /= dataset.n
+    grad_b = float(np.add.reduce(err) / dataset.n)  # err.mean()
     return grad_w, grad_b
 
 

@@ -105,49 +105,27 @@ class RoundReport:
         )
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value)
-
-
 def csv_rows(report: RoundReport) -> list[list[str]]:
-    """Flatten one report into CSV rows (clients first, then the global row)."""
+    """Flatten one report into CSV rows (clients first, then the global row).
+
+    A missing value is an empty cell; any other value is its `str`, so a
+    numpy float prints as the Python float it equals.
+    """
+    round_cell = str(report.round)
     rows = []
     for c in report.clients:
         scores = c.scores or {}
-        rows.append(
-            [
-                str(report.round),
-                "client",
-                str(c.client_id),
-                c.behavior,
-                str(c.n),
-                *(_cell(scores.get(kind)) for kind in OBJECTIVE_KINDS),
-                _cell(c.composite),
-                _cell(c.p),
-                _cell(c.rs),
-                _cell(c.local_loss),
-                "",
-                "",
-                "",
-            ]
-        )
-    rows.append(
-        [
-            str(report.round),
-            "global",
-            "",
-            "",
-            "",
-            *("" for _ in OBJECTIVE_KINDS),
-            "",
-            "",
-            _cell(report.rs_spread),
-            "",
-            _cell(report.global_accuracy),
-            _cell(report.global_spd),
-            _cell(report.global_eod),
-        ]
+        row = [round_cell, "client", str(c.client_id), c.behavior, str(c.n)]
+        for v in (*map(scores.get, OBJECTIVE_KINDS), c.composite, c.p, c.rs, c.local_loss):
+            row.append("" if v is None else str(v))
+        row += ("", "", "")  # the global-metric columns
+        rows.append(row)
+    rs_spread, acc, spd, eod = (
+        "" if v is None else str(v)
+        for v in (report.rs_spread, report.global_accuracy, report.global_spd, report.global_eod)
     )
+    blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
+    rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])
     return rows
 
 

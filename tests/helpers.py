@@ -3,7 +3,8 @@
 import numpy as np
 
 from fedval.data import GROUP_A, GROUP_D, TabularDataset
-from fedval.model import ModelParams
+from fedval.errors import MissingGroupError, MissingPositivesError
+from fedval.model import _CLAMP, ModelParams, classify
 
 
 def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
@@ -23,6 +24,29 @@ def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
 def random_params(dim, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return ModelParams(scale * rng.standard_normal(dim), float(scale * rng.standard_normal()))
+
+
+def random_case(seed, n, dim, scale, labels="mixed", groups="mixed", tie_row=False):
+    """Random (params, dataset) for exactness properties.
+
+    `scale` multiplies the parameters, so at 1e2 most probabilities reach
+    the loss clamp.  `labels`/`groups` "mixed" draws both values, 0 or 1
+    fixes the column.  With `tie_row`, row 0 has a logit of exactly -1e-17,
+    whose sigmoid rounds to 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, dim))
+    columns = [
+        rng.integers(0, 2, n) if kind == "mixed" else np.full(n, kind)
+        for kind in (labels, groups)
+    ]
+    weights = scale * rng.standard_normal(dim)
+    bias = float(scale * rng.standard_normal())
+    if tie_row:
+        features[0] = 0.0
+        features[0, 0] = -1e-17
+        weights[0], bias = 1.0, 0.0
+    return ModelParams(weights, bias), TabularDataset(features, *columns)
 
 
 def pattern_dataset(preds, labels, groups):
@@ -76,3 +100,59 @@ def reference_client_update(params, local, cfg):
             w -= cfg.lr * (xb.T @ err) / len(idx)
             b -= cfg.lr * float(err.mean())
     return ModelParams(w, b)
+
+
+def reference_proba(params, features):
+    return reference_sigmoid(features @ params.weights + params.bias)
+
+
+def reference_loss(params, dataset):
+    """Mean clamped cross-entropy, y log p + (1 - y) log(1 - p) per row,
+    summed in sorted order."""
+    p = np.clip(reference_proba(params, dataset.features), _CLAMP, 1.0 - _CLAMP)
+    y = dataset.labels
+    terms = y * np.log(p) + (1 - y) * np.log(1.0 - p)
+    return float(-np.mean(np.sort(terms)))
+
+
+def reference_gradient(params, dataset):
+    """(mean (p - y) x, mean (p - y)), out of place."""
+    err = reference_proba(params, dataset.features) - dataset.labels
+    return dataset.features.T @ err / dataset.n, float(err.mean())
+
+
+# the metrics as frequencies over classify's hard labels, with the fast
+# path's error types and messages
+
+_GROUP_NAMES = {GROUP_A: "a", GROUP_D: "d"}
+
+
+def reference_accuracy(params, dataset):
+    pred = classify(params, dataset.features)
+    return float(np.mean(pred == dataset.labels))
+
+
+def reference_spd(params, dataset):
+    pred = classify(params, dataset.features)
+    shares = []
+    for group_value in (GROUP_A, GROUP_D):
+        mask = dataset.sensitive == group_value
+        if not mask.any():
+            raise MissingGroupError(
+                f"spd: dataset has no rows for group {_GROUP_NAMES[group_value]!r}"
+            )
+        shares.append(float(pred[mask].mean()))
+    return abs(shares[0] - shares[1])
+
+
+def reference_eod(params, dataset):
+    pred = classify(params, dataset.features)
+    rates = []
+    for group_value in (GROUP_A, GROUP_D):
+        mask = (dataset.sensitive == group_value) & (dataset.labels == 1)
+        if not mask.any():
+            raise MissingPositivesError(
+                f"eod: no positive-label rows for group {_GROUP_NAMES[group_value]!r}"
+            )
+        rates.append(float(pred[mask].mean()))
+    return abs(rates[0] - rates[1])

@@ -14,7 +14,7 @@ from fedval.baselines import (
     qfedsgd_round,
 )
 from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
-from fedval.errors import ConfigError, NumericOverflowError, ShapeError
+from fedval.errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
 from helpers import coverage_dataset, random_params
 
@@ -267,6 +267,17 @@ def test_qfed_rounds_report_overflow_as_a_numeric_error(q, scale, term):
         qfedsgd_round(start, [client], QConfig(q=q))
     with pytest.raises(NumericOverflowError, match=f"^{term} overflowed for client 7"):
         qfedavg_round(start, [client], cfg, QConfig(q=q))
+
+
+def test_qfed_rounds_report_underflowed_weights_as_degenerate(shards):
+    # at the zero model every loss is ln 2, and ln 2 ** 4999 underflows to 0,
+    # so every h_k is 0 and the server step would divide by zero
+    start = ModelParams.zeros(3)
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0)
+    with pytest.raises(DegenerateWeightsError, match="at q=5000.0"):
+        qfedsgd_round(start, shards, QConfig(q=5000.0))
+    with pytest.raises(DegenerateWeightsError, match="at q=5000.0"):
+        qfedavg_round(start, shards, cfg, QConfig(q=5000.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import csv
 import json
+from collections import Counter
 
 import pytest
+
+import fedval.baselines
+import fedval.harness
+import fedval.server
 
 from fedval.data import ClientSpec, SkewSpec
 from fedval.errors import ConfigError, UnknownPresetError
@@ -389,3 +394,48 @@ def test_run_sweep_records_q_overflow_and_finishes(tmp_path):
     assert failed.final is None and failed.error.startswith("F**q overflowed for client ")
     assert finished.error is None and finished.final is not None
     assert result.summary_rows[0]["replicates_ok"] == 1
+
+
+def test_run_sweep_records_degenerate_q_weights_and_finishes(tmp_path):
+    # q=1500 with a near-zero Lipschitz estimate: L * F**q stays above the
+    # smallest float at ln 2, but with seed 5 every client's loss falls far
+    # enough in round 2 that every h_k underflows to 0; seed 4 finishes
+    base = tiny_config(
+        strategy="qfedavg",
+        rounds=3,
+        qfed=QConfig(q=1500.0, lipschitz=1e-9),
+        train=TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0),
+    )
+    spec = SweepSpec((3,), (SweepVariant("norank", False),), (4, 5))
+    result = run_sweep(spec, base, out_dir=tmp_path / "s")
+    finished, failed = result.cells
+    assert failed.final is None and failed.error.startswith("q-FFL weights sum to 0.0 at q=1500.0")
+    assert finished.error is None and finished.final is not None
+    assert result.summary_rows[0]["replicates_ok"] == 1
+
+
+@pytest.mark.parametrize("strategy", ["afl", "qfedavg", "fedval"])
+def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
+    # The benchmark counts these calls exactly at the modules that bind them.
+    # A refactor that fuses loss with gradient, or the three global metrics
+    # into one call, must re-key those benchmark hooks first; this fails
+    # before it gets that far.
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for module in (fedval.server, fedval.baselines, fedval.harness):
+        for name in ("loss", "gradient", "accuracy", "spd", "eod"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    k, rounds = 3, 2
+    run_experiment(tiny_config(strategy, rounds=rounds, k=k), tmp_path / strategy)
+    assert calls["loss"] == k * rounds
+    assert calls["gradient"] == (k * rounds if strategy == "afl" else 0)
+    for metric in ("accuracy", "spd", "eod"):
+        assert calls[metric] == rounds

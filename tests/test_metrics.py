@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedval.data import GROUP_A, GROUP_D, TabularDataset
@@ -15,7 +15,16 @@ from fedval.metrics import (
     spd,
 )
 from fedval.model import classify
-from helpers import UNIT_MODEL, coverage_dataset, pattern_dataset, random_params
+from helpers import (
+    UNIT_MODEL,
+    coverage_dataset,
+    pattern_dataset,
+    random_case,
+    random_params,
+    reference_accuracy,
+    reference_eod,
+    reference_spd,
+)
 
 
 def counting_oracle(preds, labels, groups):
@@ -83,6 +92,34 @@ def test_metrics_match_counting_oracle_exactly():
         assert accuracy(UNIT_MODEL, ds) == acc
         assert spd(UNIT_MODEL, ds) == s
         assert eod(UNIT_MODEL, ds) == e
+
+
+def _outcome(metric, params, ds):
+    try:
+        return np.float64(metric(params, ds)).view(np.int64)
+    except (MissingGroupError, MissingPositivesError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 400),
+    dim=st.integers(1, 12),
+    scale=st.floats(1e-2, 1e2),
+    labels=st.sampled_from(("mixed", "mixed", 0, 1)),
+    groups=st.sampled_from(("mixed", "mixed", 0, 1)),
+    tie_row=st.booleans(),
+)
+@example(seed=6, n=1, dim=1, scale=1.0, labels=1, groups=1, tie_row=True)
+@example(seed=7, n=5, dim=2, scale=1.0, labels="mixed", groups=0, tie_row=False)
+def test_metrics_equal_the_plain_reference(seed, n, dim, scale, labels, groups, tie_row):
+    # exactness bound: none.  The cell-count metrics must give the bits of
+    # the frequencies over classify's labels, and the same error where one
+    # is undefined (same type, same message, same group checked first).
+    params, ds = random_case(seed, n, dim, scale, labels=labels, groups=groups, tie_row=tie_row)
+    for metric, reference in ((accuracy, reference_accuracy), (spd, reference_spd), (eod, reference_eod)):
+        assert _outcome(metric, params, ds) == _outcome(reference, params, ds)
 
 
 def test_spd_is_symmetric_in_groups():

@@ -20,7 +20,16 @@ from fedval.model import (
     loss,
     predict_proba,
 )
-from helpers import coverage_dataset, random_params, reference_client_update, reference_sigmoid
+from helpers import (
+    coverage_dataset,
+    random_case,
+    random_params,
+    reference_client_update,
+    reference_gradient,
+    reference_loss,
+    reference_proba,
+    reference_sigmoid,
+)
 
 # Frozen oracle values, computed by hand from the closed forms.
 # sigmoid(z) = 1 / (1 + exp(-z))
@@ -323,6 +332,30 @@ def test_client_update_equals_the_per_batch_reference(seed, n, dim, batch, epoch
     want = reference_client_update(start, ds, cfg)
     assert np.array_equal(got.weights, want.weights)
     assert got.bias == want.bias
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 400),
+    dim=st.integers(1, 12),
+    scale=st.floats(1e-2, 1e2),
+    labels=st.sampled_from(("mixed", 0, 1)),
+    tie_row=st.booleans(),
+)
+@example(seed=4, n=1, dim=1, scale=1.0, labels=1, tie_row=True)
+@example(seed=5, n=300, dim=12, scale=1e2, labels=0, tie_row=False)  # every row clamped
+def test_proba_loss_and_gradient_equal_the_plain_reference(seed, n, dim, scale, labels, tie_row):
+    # exactness bound: none.  The one-pass in-place probabilities, loss and
+    # gradient must reproduce the plain formulas' float64 bits.
+    params, ds = random_case(seed, n, dim, scale, labels=labels, tie_row=tie_row)
+    got_p, want_p = predict_proba(params, ds.features), reference_proba(params, ds.features)
+    assert np.array_equal(got_p.view(np.int64), want_p.view(np.int64))
+    assert np.float64(loss(params, ds)).view(np.int64) == np.float64(reference_loss(params, ds)).view(np.int64)
+    got_w, got_b = gradient(params, ds)
+    want_w, want_b = reference_gradient(params, ds)
+    assert np.array_equal(got_w.view(np.int64), want_w.view(np.int64))
+    assert np.float64(got_b).view(np.int64) == np.float64(want_b).view(np.int64)
+
 
 def test_training_reduces_loss_on_separable_data():
     ds = coverage_dataset(200, 3, seed=10)

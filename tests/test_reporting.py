@@ -1,5 +1,8 @@
 import csv
 import json
+from dataclasses import replace
+
+import numpy as np
 
 from fedval.reporting import (
     CSV_COLUMNS,
@@ -98,6 +101,30 @@ def test_csv_rows_blank_out_missing_fields():
     assert first["composite"] == ""
     assert first["rs"] == ""
     assert first["p"] == "0.5"
+
+
+def test_csv_rows_print_numpy_floats_as_python_floats():
+    # str, never repr: a numpy float must not print as "np.float64(...)"
+    report = sample_report()
+    as_numpy = replace(
+        report,
+        global_accuracy=np.float64(report.global_accuracy),
+        global_spd=np.float64(report.global_spd),
+        global_eod=np.float64(report.global_eod),
+        rs_spread=np.float64(report.rs_spread),
+        clients=tuple(
+            replace(
+                c,
+                local_loss=np.float64(c.local_loss),
+                scores={kind: np.float64(v) for kind, v in c.scores.items()},
+                composite=np.float64(c.composite),
+                p=np.float64(c.p),
+                rs=np.float64(c.rs),
+            )
+            for c in report.clients
+        ),
+    )
+    assert csv_rows(as_numpy) == csv_rows(report)
 
 
 def test_round_writer_streams_both_formats(tmp_path):

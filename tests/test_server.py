@@ -34,7 +34,15 @@ from fedval.server import (
     score_clients,
     temp_aggregate,
 )
-from helpers import UNIT_MODEL, coverage_dataset, pattern_dataset, random_params
+from helpers import (
+    UNIT_MODEL,
+    coverage_dataset,
+    pattern_dataset,
+    random_params,
+    reference_accuracy,
+    reference_eod,
+    reference_spd,
+)
 
 ALL_THREE = ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0)))
 
@@ -163,12 +171,20 @@ def test_score_clients_missing_group_names_client_and_objective():
         score_clients(ModelParams.zeros(1), [(3, UNIT_MODEL), (4, UNIT_MODEL)], only_a, ALL_THREE)
 
 
+_REFERENCE_SCORES = {
+    "accuracy": reference_accuracy,
+    "spd": lambda params, ds: 1.0 - reference_spd(params, ds),
+    "eod": lambda params, ds: 1.0 - reference_eod(params, ds),
+}
+
+
 def _per_model_scores(global_params, models, validation, spec, alpha):
-    """The per-model reference: objective_score on each blend, composite summed in spec order."""
+    """The per-model reference: the plain metrics on each blend, as
+    objective_score maps them, composite summed in spec order."""
     raw, composites = [], []
     for _, params in models:
         blended = temp_aggregate(global_params, params, alpha)
-        scores = {kind: objective_score(kind, blended, validation) for kind, _ in spec.entries}
+        scores = {kind: _REFERENCE_SCORES[kind](blended, validation) for kind, _ in spec.entries}
         total = 0.0
         for kind, weight in spec.entries:
             total += weight * scores[kind]
@@ -203,6 +219,10 @@ def test_score_clients_equals_per_model_oracle_bitwise(k, dim, n, alpha, entries
     assert sv.per_objective == raw
     assert [list(d) for d in sv.per_objective] == [list(spec.kinds)] * k
     assert sv.composite == composites
+    # the per-model public path shares the count formulas and agrees too
+    for (_, params), scores in zip(models, sv.per_objective):
+        blended = temp_aggregate(global_params, params, alpha)
+        assert scores == {kind: objective_score(kind, blended, validation) for kind in spec.kinds}
 
 
 def test_score_clients_counts_a_tiny_negative_logit_as_positive():
