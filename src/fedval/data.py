@@ -94,13 +94,6 @@ class TabularDataset:
         return order
 
     @cached_property
-    def positive(self) -> np.ndarray:
-        """Boolean mask of the rows labelled 1, read-only."""
-        mask = self.labels == 1
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
     def cells(self) -> np.ndarray:
         """(n, 4) float64 membership of each row in the `CELLS`, read-only."""
         members = np.array(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import GROUP_A, GROUP_D, TabularDataset
 from .errors import ConfigError, MissingGroupError, MissingPositivesError, ShapeError
-from .model import ModelParams, _logits, is_positive
+from .model import ModelParams, classify, is_positive
 
 OBJECTIVE_KINDS = ("accuracy", "spd", "eod")
 
@@ -69,10 +69,19 @@ def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
     raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
 
 
+def _cell_counts(predictions: np.ndarray, dataset: TabularDataset) -> np.ndarray:
+    """Positive predictions per cell of `data.CELLS`, exact integers in float64.
+
+    `predictions` holds the 0/1 (or boolean) labels of one model as (n,) or
+    of K models as (K, n); the counts come back as (4,) or (K, 4).
+    """
+    return predictions @ dataset.cells
+
+
 def _global_metric(kind: str, params: ModelParams, dataset: TabularDataset) -> float:
     # one classification, then the four cell counts as Python floats, whose
     # arithmetic is float64's without numpy's per-scalar dispatch
-    counts = is_positive(_logits(params, dataset.features)) @ dataset.cells
+    counts = _cell_counts(classify(params, dataset.features), dataset)
     return _metric_values(kind, counts.tolist(), dataset.cell_sizes.tolist())
 
 
@@ -112,12 +121,11 @@ def positive_counts(weights: np.ndarray, biases: np.ndarray, dataset: TabularDat
     """
     if weights.shape[1] != dataset.dim:
         raise ShapeError(f"features must be (n, {weights.shape[1]}), got {dataset.features.shape}")
-    cells = dataset.cells
-    counts = np.empty((len(weights), cells.shape[1]))
+    counts = np.empty((len(weights), dataset.cells.shape[1]))
     for start in range(0, len(weights), _BLOCK):
         block = slice(start, start + _BLOCK)
         logits = weights[block] @ dataset.features.T + biases[block, None]
-        counts[block] = is_positive(logits) @ cells
+        counts[block] = _cell_counts(is_positive(logits), dataset)
     return counts.T, dataset.cell_sizes
 
 

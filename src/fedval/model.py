@@ -95,12 +95,17 @@ def client_cfg(cfg: TrainConfig, client_id: int) -> TrainConfig:
     return replace(cfg, seed=derive_seed(cfg.seed, "client", client_id))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # branch-free form of the piecewise sigmoid: exp only ever sees -|z|, and
-    # each element takes the float operations of its branch, 1 / (1 + e^-z)
-    # for z >= 0 and e^z / (1 + e^z) below, so results match bit for bit
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # branch-free form of the piecewise sigmoid: each element takes the float
+    # operations of its branch, 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z)
+    # below, so results match bit for bit.  exp only ever sees -|z| (that is
+    # copysign(z, -1)) and min(z, 0), whose exp is 1 exactly for z >= 0.
+    # Writes into `out` when given, which may be `z` itself.
+    e = np.exp(np.copysign(z, -1.0))
+    e += 1.0
+    out = np.exp(np.minimum(z, 0.0, out=out), out=out)
+    out /= e
+    return out
 
 
 def _check_dim(params: ModelParams, dataset: TabularDataset) -> None:
@@ -120,18 +125,10 @@ def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    # _sigmoid(X @ w + b) bit for bit in two work arrays, for an X already
-    # checked against params: where(z >= 0, 1, e) is exp(min(z, 0)), since
-    # -|z| is z below 0 and exp(0) is exactly 1, and copysign(z, -1) is -|z|
+    # sigmoid(X @ w + b), written over the logits, for an X already checked
     z = X @ params.weights
     z += params.bias
-    e = np.copysign(z, -1.0)
-    np.exp(e, out=e)
-    e += 1.0
-    np.minimum(z, 0.0, out=z)
-    np.exp(z, out=z)
-    z /= e
-    return z
+    return _sigmoid(z, out=z)
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -174,7 +171,7 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
     np.minimum(p, 1.0 - _CLAMP, out=p)
     # one log per row: the clamp keeps log(p) and log(1 - p) finite and
     # nonzero, so y log(p) + (1 - y) log(1 - p) is exactly the log taken here
-    terms = np.log(np.where(dataset.positive, p, 1.0 - p))
+    terms = np.log(np.where(dataset.labels == 1, p, 1.0 - p))
     # summation order fixed by value so row permutations cannot move the result
     terms.sort()
     return float(-(np.add.reduce(terms) / dataset.n))  # -np.mean, without its dispatch
@@ -229,8 +226,7 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
             m = xb.shape[0]
             z = xb @ w
             z += b
-            e = np.exp(-np.abs(z))  # _sigmoid, inlined
-            err = np.where(z >= 0, 1.0, e) / (1.0 + e)
+            err = _sigmoid(z, out=z)
             err -= y[start : start + size]
             # in place, in the order of w -= lr * (xb.T @ err) / m
             g = xb.T @ err

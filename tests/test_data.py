@@ -67,15 +67,14 @@ def test_dataset_is_immutable():
         ds.labels[0] = 1
 
 
-def test_cached_label_and_cell_arrays():
+def test_cached_cell_arrays():
     # rows: (label, group) = (1, a), (0, a), (1, d), (0, d), (1, a)
     ds = TabularDataset(np.zeros((5, 1)), [1, 0, 1, 0, 1], [1, 1, 0, 0, 1])
     assert CELLS == ((GROUP_A, 1), (GROUP_A, 0), (GROUP_D, 1), (GROUP_D, 0))
-    assert ds.positive.tolist() == [True, False, True, False, True]
     assert ds.cells.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
     assert ds.cells.dtype == np.float64
     assert ds.cell_sizes.tolist() == [2.0, 1.0, 1.0, 1.0]
-    for name in ("positive", "cells", "cell_sizes"):
+    for name in ("cells", "cell_sizes"):
         cached = getattr(ds, name)
         assert getattr(ds, name) is cached  # built once per dataset
         assert not cached.flags.writeable
