@@ -60,7 +60,7 @@ def main():
         validation_fraction=0.25,
         objectives=ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0))),
         ranking=RankingConfig(enabled=True, initial_step=2.0, step_size=1.5),
-        qfed=QConfig(q=args.q, lipschitz=1.0, lr=0.1, rounds=args.rounds),
+        qfed=QConfig(q=args.q, lipschitz=1.0),
         out_dir=args.out_dir,
     )
 

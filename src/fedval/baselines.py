@@ -32,18 +32,12 @@ class QConfig:
 
     q: float = 0.0
     lipschitz: float = 1.0  # the L estimate scaling h_k
-    lr: float = 0.1
-    rounds: int = 1
 
     def __post_init__(self):
-        if not (self.q >= 0 and np.isfinite(self.q)):
+        if not (self.q >= 0 and math.isfinite(self.q)):
             raise ConfigError(f"q must be finite and >= 0, got {self.q}")
-        if not (self.lipschitz > 0 and np.isfinite(self.lipschitz)):
+        if not (self.lipschitz > 0 and math.isfinite(self.lipschitz)):
             raise ConfigError(f"lipschitz must be positive, got {self.lipschitz}")
-        if not (self.lr > 0 and np.isfinite(self.lr)):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,11 @@ class AFLState:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate client ids: {ids}")
         for v in lam:
-            if not (np.isfinite(v) and v >= 0):
+            if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"lambda entries must be finite and >= 0, got {v}")
         if abs(sum(lam) - 1.0) > 1e-12:
             raise ConfigError(f"lambda sums to {sum(lam)!r}, not 1")
-        if not (self.lr_lambda > 0 and np.isfinite(self.lr_lambda)):
+        if not (self.lr_lambda > 0 and math.isfinite(self.lr_lambda)):
             raise ConfigError(f"lr_lambda must be positive, got {self.lr_lambda}")
 
     @staticmethod

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -106,7 +107,7 @@ class ExperimentConfig:
             raise ConfigError("strategy 'fedval' requires an objectives list")
         if self.strategy in ("qfedsgd", "qfedavg") and self.qfed is None:
             raise ConfigError(f"strategy {self.strategy!r} requires a qfed section")
-        if not (self.afl_lambda_lr > 0 and np.isfinite(self.afl_lambda_lr)):
+        if not (self.afl_lambda_lr > 0 and math.isfinite(self.afl_lambda_lr)):
             raise ConfigError(f"afl lambda_lr must be positive, got {self.afl_lambda_lr}")
 
     def to_dict(self) -> dict:
@@ -147,8 +148,6 @@ class ExperimentConfig:
             else {
                 "q": self.qfed.q,
                 "lipschitz": self.qfed.lipschitz,
-                "lr": self.qfed.lr,
-                "rounds": self.qfed.rounds,
             },
             "afl": {"lambda_lr": self.afl_lambda_lr},
             "note": self.note,
@@ -224,6 +223,8 @@ class ExperimentConfig:
                 step_size=float(ranking_raw.get("step_size", 1.5)),
             )
 
+            # older resolved configs also carry qfed "lr" and "rounds", which
+            # no round ever read; they load with both ignored
             qfed_raw = raw.get("qfed")
             qfed = (
                 None
@@ -231,8 +232,6 @@ class ExperimentConfig:
                 else QConfig(
                     q=float(qfed_raw["q"]),
                     lipschitz=float(qfed_raw.get("lipschitz", 1.0)),
-                    lr=float(qfed_raw.get("lr", train.lr)),
-                    rounds=int(qfed_raw.get("rounds", raw["rounds"])),
                 )
             )
 
@@ -396,11 +395,11 @@ _PRESETS = {
     ),
     "adult-qfed": lambda: _preset_base(
         "adult-qfed", strategy="qfedavg", rounds=1000, lr=0.01,
-        qfed=QConfig(q=5.0, lipschitz=1.0, lr=0.01, rounds=1000),
+        qfed=QConfig(q=5.0, lipschitz=1.0),
     ),
     "health-qfed": lambda: _preset_base(
         "health-qfed", strategy="qfedavg", rounds=3000, lr=0.01,
-        qfed=QConfig(q=5.0, lipschitz=1.0, lr=0.01, rounds=3000),
+        qfed=QConfig(q=5.0, lipschitz=1.0),
     ),
     "adult-afl": lambda: _preset_base(
         "adult-afl", strategy="afl", rounds=1000, lr=0.01,

@@ -12,6 +12,8 @@ a higher-is-better value in [0, 1]: accuracy stays as-is, the gaps become
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +80,25 @@ def _cell_counts(predictions: np.ndarray, dataset: TabularDataset) -> np.ndarray
     return predictions @ dataset.cells
 
 
+# the cell counts of the last model `_global_metric` classified: weak
+# references to its params and dataset, and the counts.  As with
+# `model._last_pass`, a reference whose object is gone never matches, and
+# the slot keeps no finished experiment's data alive.
+_last_counts = None
+
+
 def _global_metric(kind: str, params: ModelParams, dataset: TabularDataset) -> float:
-    # one classification, then the four cell counts as Python floats, whose
-    # arithmetic is float64's without numpy's per-scalar dispatch
-    counts = _cell_counts(classify(params, dataset.features), dataset)
-    return _metric_values(kind, counts.tolist(), dataset.cell_sizes.tolist())
+    # one classification per (model, dataset): accuracy, spd and eod of the
+    # same model share it.  The four cell counts are kept as Python floats,
+    # whose arithmetic is float64's without numpy's per-scalar dispatch
+    global _last_counts
+    last = _last_counts
+    if last is not None and last[0]() is params and last[1]() is dataset:
+        counts = last[2]
+    else:
+        counts = tuple(_cell_counts(classify(params, dataset.features), dataset).tolist())
+        _last_counts = (weakref.ref(params), weakref.ref(dataset), counts)
+    return _metric_values(kind, counts, dataset.cell_sizes.tolist())
 
 
 def accuracy(params: ModelParams, dataset: TabularDataset) -> float:
@@ -157,7 +173,7 @@ class ObjectiveSpec:
         for kind, weight in entries:
             if kind not in OBJECTIVE_KINDS:
                 raise ConfigError(f"unknown objective kind {kind!r}")
-            if not (weight >= 0 and np.isfinite(weight)):
+            if not (weight >= 0 and math.isfinite(weight)):
                 raise ConfigError(f"objective weight must be finite and >= 0, got {weight}")
         if sum(weight for _, weight in entries) <= 0:
             raise ConfigError("objective weights must not all be zero")
@@ -193,7 +209,7 @@ class ScoreVector:
         if not (len(ids) == len(comp) == len(self.per_objective)):
             raise ConfigError("score vector fields must align")
         for s in comp:
-            if not (np.isfinite(s) and s >= 0):
+            if not (math.isfinite(s) and s >= 0):
                 raise ConfigError(f"composite scores must be finite and >= 0, got {s}")
 
     def __len__(self) -> int:

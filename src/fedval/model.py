@@ -8,6 +8,8 @@ local training step each simulated client runs on its own shard.
 from __future__ import annotations
 
 import json
+import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,11 +35,12 @@ class ModelParams:
     bias: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        # a private copy: the caller's array could be made writeable again
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ShapeError(f"weights must be 1-d, got shape {w.shape}")
         b = float(self.bias)
-        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+        if not (np.all(np.isfinite(w)) and math.isfinite(b)):
             raise ShapeError("model parameters must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -86,7 +89,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0 and np.isfinite(self.lr)):
+        if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
 
 
@@ -131,6 +134,31 @@ def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _sigmoid(z, out=z)
 
 
+# the last probability pass over a whole dataset: weak references to its
+# params and dataset, and the read-only probabilities.  Both inputs are
+# immutable.  A reference whose object is gone returns None and never
+# matches, so a recycled id cannot hit, and the slot keeps no finished
+# experiment's data alive.
+_last_pass = None
+
+
+def _dataset_proba(params: ModelParams, dataset: TabularDataset) -> np.ndarray:
+    """`_proba` over all of `dataset`, shared by consecutive calls on the same pair.
+
+    `afl_round` and `qfedsgd_round` take `loss` and `gradient` of one shard
+    at one model, so the second call reads the first's pass.  The array is
+    read-only; callers write their results into new arrays.
+    """
+    global _last_pass
+    last = _last_pass
+    if last is not None and last[0]() is params and last[1]() is dataset:
+        return last[2]
+    p = _proba(params, dataset.features)
+    p.flags.writeable = False
+    _last_pass = (weakref.ref(params), weakref.ref(dataset), p)
+    return p
+
+
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Positive-class probabilities for each row of `features`."""
     return _proba(params, _checked(params, features))
@@ -166,8 +194,7 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
     if dataset.n == 0:
         raise EmptyDatasetError("loss needs at least one row")
     _check_dim(params, dataset)
-    p = _proba(params, dataset.features)
-    np.maximum(p, _CLAMP, out=p)
+    p = np.maximum(_dataset_proba(params, dataset), _CLAMP)
     np.minimum(p, 1.0 - _CLAMP, out=p)
     # one log per row: the clamp keeps log(p) and log(1 - p) finite and
     # nonzero, so y log(p) + (1 - y) log(1 - p) is exactly the log taken here
@@ -182,8 +209,7 @@ def gradient(params: ModelParams, dataset: TabularDataset):
     if dataset.n == 0:
         raise EmptyDatasetError("gradient needs at least one row")
     _check_dim(params, dataset)
-    err = _proba(params, dataset.features)
-    err -= dataset.labels
+    err = _dataset_proba(params, dataset) - dataset.labels
     grad_w = dataset.features.T @ err
     grad_w /= dataset.n
     grad_b = float(np.add.reduce(err) / dataset.n)  # err.mean()

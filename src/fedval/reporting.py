@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .metrics import OBJECTIVE_KINDS
 
@@ -105,28 +109,83 @@ class RoundReport:
         )
 
 
-def csv_rows(report: RoundReport) -> list[list[str]]:
-    """Flatten one report into CSV rows (clients first, then the global row).
+def _texts(value):
+    """(JSON text, CSV cell) of one reported value, formatted once for both.
 
-    A missing value is an empty cell; any other value is its `str`, so a
-    numpy float prints as the Python float it equals.
+    A finite float prints as `float.__repr__`, which is what `json.dumps`
+    and `str` both give it (numpy's float64 `str` too); an int prints as
+    `int.__repr__` and a string keeps json's ASCII escaping.  None is null
+    and an empty cell.  Anything else (NaN and the infinities, bools, other
+    types) takes `json.dumps` and `str`.
     """
-    round_cell = str(report.round)
-    rows = []
+    kind = type(value)
+    if kind is float or kind is np.float64:
+        if math.isfinite(value):
+            text = float.__repr__(value)
+            return text, text
+    elif kind is int:
+        text = int.__repr__(value)
+        return text, text
+    elif kind is str:
+        return encode_basestring_ascii(value), value
+    elif value is None:
+        return "null", ""
+    return json.dumps(value), str(value)
+
+
+_NO_SCORES = ("",) * len(OBJECTIVE_KINDS)
+
+
+def _scores_texts(scores):
+    """The JSON text of a client's `scores` and its CSV cells, one per objective."""
+    if scores is None:
+        return "null", _NO_SCORES
+    parts, cells = [], {}
+    for kind, value in scores.items():
+        text, cells[kind] = _texts(value)
+        parts.append(f"{encode_basestring_ascii(kind)}: {text}")
+    return "{" + ", ".join(parts) + "}", tuple(cells.get(kind, "") for kind in OBJECTIVE_KINDS)
+
+
+def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
+    """One report's rounds.jsonl line and rounds.csv rows, in one pass.
+
+    The line is `json.dumps(report.to_json_obj())` plus a newline.  The
+    rows hold each client's fields in `CSV_COLUMNS` order, then one global
+    row; a missing value is an empty cell, any other its `str`.  Every
+    value is formatted once for both forms; `tests/helpers.py` keeps the
+    plain row builder, `reference_csv_rows`, that the bytes must match.
+    """
+    round_text, round_cell = _texts(report.round)
+    objects, rows = [], []
     for c in report.clients:
-        scores = c.scores or {}
-        row = [round_cell, "client", str(c.client_id), c.behavior, str(c.n)]
-        for v in (*map(scores.get, OBJECTIVE_KINDS), c.composite, c.p, c.rs, c.local_loss):
-            row.append("" if v is None else str(v))
-        row += ("", "", "")  # the global-metric columns
-        rows.append(row)
-    rs_spread, acc, spd, eod = (
-        "" if v is None else str(v)
-        for v in (report.rs_spread, report.global_accuracy, report.global_spd, report.global_eod)
-    )
+        client_id, client_cell = _texts(c.client_id)
+        n, n_cell = _texts(c.n)
+        scores, score_cells = _scores_texts(c.scores)
+        composite = _texts(c.composite)
+        p = _texts(c.p)
+        rs = _texts(c.rs)
+        local_loss = _texts(c.local_loss)
+        objects.append(
+            f'{{"client_id": {client_id}, "behavior": {_texts(c.behavior)[0]}, "n": {n}, '
+            f'"local_loss": {local_loss[0]}, "scores": {scores}, "composite": {composite[0]}, '
+            f'"p": {p[0]}, "rs": {rs[0]}}}'
+        )
+        rows.append([
+            round_cell, "client", client_cell, c.behavior, n_cell, *score_cells,
+            composite[1], p[1], rs[1], local_loss[1], "", "", "",
+        ])
+    rs_spread = _texts(report.rs_spread)
+    acc = _texts(report.global_accuracy)
+    spd = _texts(report.global_spd)
+    eod = _texts(report.global_eod)
     blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
-    rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])
-    return rows
+    rows.append([round_cell, "global", *blanks, rs_spread[1], "", acc[1], spd[1], eod[1]])
+    line = (
+        f'{{"round": {round_text}, "global": {{"accuracy": {acc[0]}, "spd": {spd[0]}, '
+        f'"eod": {eod[0]}}}, "rs_spread": {rs_spread[0]}, "clients": [{", ".join(objects)}]}}\n'
+    )
+    return line, rows
 
 
 class RoundWriter:
@@ -147,9 +206,10 @@ class RoundWriter:
             self._csv_file.flush()
 
     def write(self, report: RoundReport) -> None:
-        self._jsonl.write(json.dumps(report.to_json_obj()) + "\n")
+        line, rows = _serialize(report)
+        self._jsonl.write(line)
         self._jsonl.flush()
-        self._csv.writerows(csv_rows(report))
+        self._csv.writerows(rows)
         self._csv_file.flush()
 
     def close(self) -> None:

@@ -48,9 +48,9 @@ class RankingConfig:
     step_size: float = 1.5     # geometric factor toward better ranks
 
     def __post_init__(self):
-        if not (self.initial_step > 0 and np.isfinite(self.initial_step)):
+        if not (self.initial_step > 0 and math.isfinite(self.initial_step)):
             raise ConfigError(f"initial_step must be positive, got {self.initial_step}")
-        if not (self.step_size > 0 and np.isfinite(self.step_size)):
+        if not (self.step_size > 0 and math.isfinite(self.step_size)):
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.enabled and self.step_size < 1.0:
             warnings.warn(
@@ -69,7 +69,7 @@ class RankState:
         rs = {int(cid): float(v) for cid, v in self.rs.items()}
         object.__setattr__(self, "rs", rs)
         for cid, v in rs.items():
-            if not (np.isfinite(v) and v >= 0):
+            if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"rank mass for client {cid} must be finite and >= 0, got {v}")
 
     @staticmethod
@@ -94,7 +94,7 @@ class AggregationWeights:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate client ids in weights: {ids}")
         for v in p:
-            if not (np.isfinite(v) and v >= 0):
+            if not (math.isfinite(v) and v >= 0):
                 raise DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]")
         if abs(sum(p) - 1.0) > 1e-12:
             raise DegenerateWeightsError(f"aggregation weights sum to {sum(p)!r}, not 1")

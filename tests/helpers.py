@@ -4,6 +4,7 @@ import numpy as np
 
 from fedval.data import GROUP_A, GROUP_D, TabularDataset
 from fedval.errors import MissingGroupError, MissingPositivesError
+from fedval.metrics import OBJECTIVE_KINDS
 from fedval.model import _CLAMP, ModelParams, classify
 
 
@@ -156,3 +157,32 @@ def reference_eod(params, dataset):
             )
         rates.append(float(pred[mask].mean()))
     return abs(rates[0] - rates[1])
+
+
+# ---------------------------------------------------------------------------
+# reference for the one-pass report writer
+# ---------------------------------------------------------------------------
+
+
+def reference_csv_rows(report):
+    """Flatten one report into rounds.csv rows (clients first, then the global row).
+
+    A missing value is an empty cell; any other value is its `str`, so a
+    numpy float prints as the Python float it equals.
+    """
+    round_cell = str(report.round)
+    rows = []
+    for c in report.clients:
+        scores = c.scores or {}
+        row = [round_cell, "client", str(c.client_id), c.behavior, str(c.n)]
+        for v in (*map(scores.get, OBJECTIVE_KINDS), c.composite, c.p, c.rs, c.local_loss):
+            row.append("" if v is None else str(v))
+        row += ("", "", "")  # the global-metric columns
+        rows.append(row)
+    rs_spread, acc, spd, eod = (
+        "" if v is None else str(v)
+        for v in (report.rs_spread, report.global_accuracy, report.global_spd, report.global_eod)
+    )
+    blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
+    rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])
+    return rows

@@ -36,15 +36,11 @@ def shards():
 
 def test_qconfig_validation():
     QConfig(q=0.0)
-    QConfig(q=5.0, lipschitz=2.0, lr=0.01, rounds=10)
+    QConfig(q=5.0, lipschitz=2.0)
     with pytest.raises(ConfigError):
         QConfig(q=-1.0)
     with pytest.raises(ConfigError):
         QConfig(q=1.0, lipschitz=0.0)
-    with pytest.raises(ConfigError):
-        QConfig(q=1.0, lr=-0.1)
-    with pytest.raises(ConfigError):
-        QConfig(q=1.0, rounds=0)
 
 
 def test_afl_state_uniform_and_validation():

@@ -6,6 +6,8 @@ import pytest
 
 import fedval.baselines
 import fedval.harness
+import fedval.metrics
+import fedval.model
 import fedval.server
 
 from fedval.data import ClientSpec, SkewSpec
@@ -101,6 +103,15 @@ def test_config_roundtrip_covers_every_strategy():
     for strategy in STRATEGIES:
         cfg = tiny_config(strategy=strategy)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_from_dict_ignores_the_retired_qfed_lr_and_rounds():
+    # configs resolved before QConfig dropped its unread lr/rounds still load
+    cfg = tiny_config(strategy="qfedavg")
+    raw = cfg.to_dict()
+    assert set(raw["qfed"]) == {"q", "lipschitz"}
+    raw["qfed"].update(lr=0.01, rounds=1000)
+    assert ExperimentConfig.from_dict(raw) == cfg
 
 
 def test_from_dict_accepts_bare_string_clients():
@@ -433,9 +444,16 @@ def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
         for name in ("loss", "gradient", "accuracy", "spd", "eod"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # the work beneath them is shared: loss and gradient of one shard at one
+    # model take one probability pass, and accuracy, spd and eod of one
+    # model one classification of the validation split
+    monkeypatch.setattr(fedval.model, "_proba", counting("proba", fedval.model._proba))
+    monkeypatch.setattr(fedval.metrics, "classify", counting("classify", fedval.metrics.classify))
     k, rounds = 3, 2
     run_experiment(tiny_config(strategy, rounds=rounds, k=k), tmp_path / strategy)
     assert calls["loss"] == k * rounds
     assert calls["gradient"] == (k * rounds if strategy == "afl" else 0)
     for metric in ("accuracy", "spd", "eod"):
         assert calls[metric] == rounds
+    assert calls["proba"] == k * rounds
+    assert calls["classify"] == rounds

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedval.metrics
+import fedval.model
 from fedval.data import GROUP_A, GROUP_D, TabularDataset
-from fedval.errors import ConfigError, MissingGroupError, MissingPositivesError
+from fedval.errors import ConfigError, FedValError, MissingGroupError, MissingPositivesError, ShapeError
 from fedval.metrics import (
     ObjectiveSpec,
     ScoreVector,
@@ -14,7 +16,7 @@ from fedval.metrics import (
     objective_score,
     spd,
 )
-from fedval.model import classify
+from fedval.model import ModelParams, classify, gradient, loss
 from helpers import (
     UNIT_MODEL,
     coverage_dataset,
@@ -23,6 +25,9 @@ from helpers import (
     random_params,
     reference_accuracy,
     reference_eod,
+    reference_gradient,
+    reference_loss,
+    reference_proba,
     reference_spd,
 )
 
@@ -120,6 +125,95 @@ def test_metrics_equal_the_plain_reference(seed, n, dim, scale, labels, groups, 
     params, ds = random_case(seed, n, dim, scale, labels=labels, groups=groups, tie_row=tie_row)
     for metric, reference in ((accuracy, reference_accuracy), (spd, reference_spd), (eod, reference_eod)):
         assert _outcome(metric, params, ds) == _outcome(reference, params, ds)
+
+
+# ---------------------------------------------------------------------------
+# shared evaluation passes: loss/gradient share one probability pass per
+# (model, dataset), the global metrics one classification
+# ---------------------------------------------------------------------------
+
+_EVALUATIONS = {
+    "loss": (loss, reference_loss),
+    "gradient": (gradient, reference_gradient),
+    "accuracy": (accuracy, reference_accuracy),
+    "spd": (spd, reference_spd),
+    "eod": (eod, reference_eod),
+}
+
+
+def _bits_or_error(evaluate, params, ds):
+    try:
+        value = evaluate(params, ds)
+    except FedValError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple):  # gradient
+        grad_w, grad_b = value
+        bits = (grad_w.view(np.int64).tolist(), np.float64(grad_b).view(np.int64).item())
+        grad_w[:] = np.nan  # a caller that scribbles on its result must not reach the cache
+        return bits
+    return np.float64(value).view(np.int64).item()
+
+
+def _live(slot):
+    """A cache slot's (params, dataset, value), or None once either input is gone."""
+    if slot is None:
+        return None
+    params, ds = slot[0](), slot[1]()
+    return None if params is None or ds is None else (params, ds, slot[2])
+
+
+def _reference_outcome(name, params, ds):
+    if name in ("loss", "gradient") and ds.dim != params.dim:
+        return ShapeError, f"model expects {params.dim} features, dataset has {ds.dim}"
+    return _bits_or_error(_EVALUATIONS[name][1], params, ds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    dim=st.integers(1, 6),
+    calls=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(tuple(_EVALUATIONS))),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@example(seed=0, dim=3, calls=[(0, 0, "gradient"), (0, 0, "loss"), (1, 0, "loss"), (1, 0, "gradient")])
+@example(seed=1, dim=2, calls=[(0, 1, "accuracy"), (0, 2, "spd"), (0, 1, "spd"), (1, 1, "eod"), (0, 1, "eod")])
+@example(seed=2, dim=4, calls=[(3, 0, "loss"), (3, 3, "loss"), (3, 0, "gradient"), (3, 3, "accuracy"), (3, 0, "eod")])
+def test_interleaved_evaluations_equal_the_plain_reference(seed, dim, calls):
+    # exactness bound: none.  Results read from a shared pass must carry the
+    # plain formulas' bits whatever ran before.  Params 1 equals params 0 in
+    # value but is a distinct object; dataset 2 has a single group, so spd
+    # and eod raise on it; dataset 3 has one feature too many.
+    first = random_params(dim, seed % 977)
+    models = (
+        first,
+        ModelParams(first.weights.copy(), first.bias),
+        random_params(dim, seed % 977 + 1),
+        random_params(dim, seed % 977 + 2, scale=1e2),  # most probabilities clamped
+    )
+    datasets = (
+        coverage_dataset(31, dim, seed % 4096),
+        coverage_dataset(57, dim, seed % 4096 + 1),
+        random_case(seed, 23, dim, 1.0, groups=1)[1],
+        coverage_dataset(19, dim + 1, seed % 4096 + 2),
+    )
+    for model_index, data_index, name in calls:
+        params, ds = models[model_index], datasets[data_index]
+        got = _bits_or_error(_EVALUATIONS[name][0], params, ds)
+        assert got == _reference_outcome(name, params, ds), (model_index, data_index, name)
+        # every cached pass is read-only and still holds its inputs' values
+        cached = _live(fedval.model._last_pass)
+        if cached is not None:
+            cached_params, cached_ds, proba = cached
+            assert not proba.flags.writeable
+            want = reference_proba(cached_params, cached_ds.features)
+            assert np.array_equal(proba.view(np.int64), want.view(np.int64))
+        cached = _live(fedval.metrics._last_counts)
+        if cached is not None:
+            cached_params, cached_ds, counts = cached
+            assert counts == tuple(classify(cached_params, cached_ds.features) @ cached_ds.cells)
 
 
 def test_spd_is_symmetric_in_groups():

@@ -89,6 +89,15 @@ def test_params_weights_are_readonly():
         p.weights[0] = 1.0
 
 
+def test_params_keep_a_private_copy_of_the_weights():
+    # the caller still owns its array and may make it writeable again
+    w = np.zeros(3)
+    p = ModelParams(w, 0.0)
+    w.flags.writeable = True
+    w[0] = 1.0
+    assert p.weights.tolist() == [0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------

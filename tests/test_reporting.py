@@ -1,17 +1,25 @@
 import csv
+import io
 import json
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fedval.data import BEHAVIORS
+from fedval.metrics import OBJECTIVE_KINDS
 from fedval.reporting import (
     CSV_COLUMNS,
     ClientRoundRecord,
     RoundReport,
     RoundWriter,
-    csv_rows,
     read_jsonl,
 )
+from helpers import reference_csv_rows
 
 
 def sample_report(round_index=1, with_rank=True):
@@ -70,7 +78,7 @@ def test_json_roundtrip_with_nulls():
 
 
 def test_csv_rows_layout():
-    rows = csv_rows(sample_report(round_index=3))
+    rows = reference_csv_rows(sample_report(round_index=3))
     assert len(rows) == 3  # two clients + one global row
     assert all(len(r) == len(CSV_COLUMNS) for r in rows)
 
@@ -95,7 +103,7 @@ def test_csv_rows_layout():
 
 
 def test_csv_rows_blank_out_missing_fields():
-    rows = csv_rows(baseline_report())
+    rows = reference_csv_rows(baseline_report())
     first = dict(zip(CSV_COLUMNS, rows[0]))
     assert first["s_accuracy"] == ""
     assert first["composite"] == ""
@@ -124,7 +132,7 @@ def test_csv_rows_print_numpy_floats_as_python_floats():
             for c in report.clients
         ),
     )
-    assert csv_rows(as_numpy) == csv_rows(report)
+    assert reference_csv_rows(as_numpy) == reference_csv_rows(report)
 
 
 def test_round_writer_streams_both_formats(tmp_path):
@@ -162,3 +170,67 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
     obj = json.dumps(sample_report().to_json_obj())
     path.write_text(obj + "\n\n" + obj + "\n")
     assert len(read_jsonl(path)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the one-pass writer against the library forms
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 1e16, 1e-5, 3.0, -7.0, 0.1,
+                math.nan, math.inf, -math.inf)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_VALUES = st.one_of(st.none(), _FLOATS, _FLOATS.map(np.float64))
+_TEXT = st.one_of(
+    st.sampled_from(BEHAVIORS),
+    st.sampled_from(('a,b', 'say "hi"', "line\nbreak", "cr\r", "tab\t", "back\\slash",
+                     "caf\u00e9", "\u2028", " lead", "")),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8),
+)
+_SCORES = st.one_of(
+    st.none(),
+    st.just({}),
+    st.fixed_dictionaries({kind: _VALUES for kind in OBJECTIVE_KINDS}),
+    st.dictionaries(st.sampled_from((*OBJECTIVE_KINDS, "extra")), _VALUES, max_size=4),
+)
+_CLIENTS = st.builds(
+    ClientRoundRecord,
+    client_id=st.integers(0, 10**6),
+    behavior=_TEXT,
+    n=st.integers(0, 10**9),
+    local_loss=_VALUES,
+    scores=_SCORES,
+    composite=_VALUES,
+    p=_VALUES,
+    rs=_VALUES,
+)
+_REPORTS = st.builds(
+    RoundReport,
+    round=st.integers(0, 10**6),
+    global_accuracy=_VALUES,
+    global_spd=_VALUES,
+    global_eod=_VALUES,
+    clients=st.lists(_CLIENTS, max_size=4).map(tuple),
+    rs_spread=_VALUES,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports=st.lists(_REPORTS, min_size=1, max_size=3))
+@example(reports=[sample_report()])
+@example(reports=[baseline_report(), sample_report(round_index=2, with_rank=False)])
+def test_round_writer_bytes_equal_the_library_forms(reports):
+    # exactness bound: none.  Each value is formatted once for both files,
+    # and the bytes must be json.dumps's and csv.writer's over the plain rows
+    want_csv = io.StringIO(newline="")
+    rows = csv.writer(want_csv)
+    rows.writerow(CSV_COLUMNS)
+    for report in reports:
+        rows.writerows(reference_csv_rows(report))
+    want_jsonl = "".join(json.dumps(report.to_json_obj()) + "\n" for report in reports)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with RoundWriter(out) as writer:
+            for report in reports:
+                writer.write(report)
+        assert (out / "rounds.jsonl").read_bytes() == want_jsonl.encode("utf-8")
+        assert (out / "rounds.csv").read_bytes() == want_csv.getvalue().encode("utf-8")
