@@ -9,8 +9,10 @@
            (Mohri et al., https://arxiv.org/abs/1902.00146)
 
 Every round function is pure and returns the new global model plus a
-RoundInfo carrying the effective per-client weights (always a probability
-vector), local losses, and the intermediates the update used.
+`server.RoundInfo`: the effective per-client weights (always a probability
+vector), local losses and, in `extras`, the intermediates the update used
+(q-FFL's h_k, AFL's next mixture).  `reporting.round_report` builds the
+round's report from it, as it does for the fedval strategy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .data import ClientProfile
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from .model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
-from .server import AggregationWeights, aggregate
+from .server import AggregationWeights, RoundInfo, aggregate
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,6 @@ class AFLState:
         return AFLState(ids, tuple(1.0 / len(ids) for _ in ids), lr_lambda)
 
 
-@dataclass(frozen=True)
-class RoundInfo:
-    """What a baseline round actually did, for reporting and replay."""
-
-    weights: AggregationWeights
-    losses: dict
-    extras: dict
-
-
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex."""
     v = np.asarray(v, dtype=np.float64)
@@ -119,7 +112,7 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
         tuple(c.n / total for c in ordered),
     )
     new_global = aggregate(models, weights)
-    return new_global, RoundInfo(weights, losses, {"client_models": models})
+    return new_global, RoundInfo(weights, losses, {})
 
 
 def _check_finite(value, client_id, what):

@@ -50,9 +50,11 @@ class TabularDataset:
     sensitive: np.ndarray  # (n,) int, values {0=d, 1=a}
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        sens = np.ascontiguousarray(self.sensitive, dtype=np.int64)
+        # private copies: a caller that re-enables writes on its own arrays
+        # must not reach the rows (or the caches derived from them)
+        feats = np.array(self.features, dtype=np.float64, order="C")
+        labels = np.array(self.labels, dtype=np.int64, order="C")
+        sens = np.array(self.sensitive, dtype=np.int64, order="C")
         if feats.ndim != 2:
             raise DataError(f"features must be 2-d, got shape {feats.shape}")
         n = feats.shape[0]

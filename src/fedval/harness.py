@@ -36,9 +36,9 @@ from .data import (
     split_validation,
 )
 from .errors import ConfigError, FedValError, UnknownPresetError
-from .metrics import ObjectiveSpec, accuracy, eod, spd
+from .metrics import ObjectiveSpec
 from .model import ModelParams, TrainConfig
-from .reporting import ClientRoundRecord, RoundReport, RoundWriter, read_jsonl
+from .reporting import RoundWriter, read_jsonl, round_report
 from .seeding import derive_seed
 from .server import RankingConfig, RankState, fedval_round
 
@@ -251,8 +251,6 @@ class ExperimentConfig:
                 out_dir=raw.get("out_dir", "runs/experiment"),
                 note=raw.get("note", ""),
             )
-        except ConfigError:
-            raise
         except FedValError:
             raise
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
@@ -275,27 +273,6 @@ def _build_dataset(cfg: ExperimentConfig):
         seed = cfg.data.seed if cfg.data.seed is not None else derive_seed(cfg.seed, "data")
         return generate_synthetic(cfg.data.n, cfg.data.dim, cfg.data.positive_rates, seed)
     return load_csv(cfg.data.path, cfg.data.schema)
-
-
-def _baseline_report(round_index, params, validation, clients, info) -> RoundReport:
-    by_id = {cid: p for cid, p in zip(info.weights.client_ids, info.weights.p)}
-    records = tuple(
-        ClientRoundRecord(
-            client_id=c.client_id,
-            behavior=c.behavior,
-            n=c.n,
-            local_loss=info.losses[c.client_id],
-            p=by_id[c.client_id],
-        )
-        for c in sorted(clients, key=lambda c: c.client_id)
-    )
-    return RoundReport(
-        round=round_index,
-        global_accuracy=accuracy(params, validation),
-        global_spd=spd(params, validation),
-        global_eod=eod(params, validation),
-        clients=records,
-    )
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -329,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         for t in range(1, cfg.rounds + 1):
             round_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "round", t))
             if cfg.strategy == "fedval":
-                params, report, rank_state = fedval_round(
+                params, rank_state, info = fedval_round(
                     params,
                     clients,
                     validation,
@@ -338,21 +315,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
                     cfg.ranking,
                     rank_state,
                     alpha=cfg.temp_alpha,
-                    round_index=t,
                 )
             elif cfg.strategy == "fedavg":
                 params, info = fedavg_round(params, clients, round_cfg)
-                report = _baseline_report(t, params, validation, clients, info)
             elif cfg.strategy == "qfedsgd":
                 params, info = qfedsgd_round(params, clients, cfg.qfed)
-                report = _baseline_report(t, params, validation, clients, info)
             elif cfg.strategy == "qfedavg":
                 params, info = qfedavg_round(params, clients, round_cfg, cfg.qfed)
-                report = _baseline_report(t, params, validation, clients, info)
             else:  # afl
                 params, afl_state, info = afl_round(params, clients, afl_state, round_cfg)
-                report = _baseline_report(t, params, validation, clients, info)
-            writer.write(report)
+            writer.write(round_report(t, params, validation, clients, info))
 
     params.save(out / "final_model.json")
     return out

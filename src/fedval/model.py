@@ -164,16 +164,14 @@ def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _proba(params, _checked(params, features))
 
 
-def is_positive(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """The hard-label rule: a logit is positive when `_sigmoid(logit) >= threshold`.
+def is_positive(logits: np.ndarray) -> np.ndarray:
+    """The hard-label rule: a logit is positive when `_sigmoid(logit) >= 0.5`.
 
     The rule is decided on the float64 sigmoid, not on the logit's sign: a
-    logit of -1e-17 has probability exactly 0.5 and counts positive.  At the
-    default threshold the sigmoid is only evaluated for logits in
-    (-_SIGN_DECIDES, 0); elsewhere the sign gives the same answer.
+    logit of -1e-17 has probability exactly 0.5 and counts positive.  The
+    sigmoid is only evaluated for logits in (-_SIGN_DECIDES, 0); elsewhere
+    the sign gives the same answer.
     """
-    if threshold != 0.5:
-        return _sigmoid(logits) >= threshold
     # z >= 0: exp(-z) <= 1, so 1 / (1 + exp(-z)) >= 0.5 exactly.
     # z <= -_SIGN_DECIDES: exp(z) is at most about 1 - 1e-12, so
     # exp(z) / (1 + exp(z)) lies ~2.5e-13 below 0.5, far beyond rounding.
@@ -184,9 +182,9 @@ def is_positive(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return positive
 
 
-def classify(params: ModelParams, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels; a probability exactly at the threshold counts positive."""
-    return is_positive(_logits(params, features), threshold).astype(np.int64)
+def classify(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Hard labels; a probability of exactly 0.5 counts positive."""
+    return is_positive(_logits(params, features)).astype(np.int64)
 
 
 def loss(params: ModelParams, dataset: TabularDataset) -> float:
@@ -214,15 +212,6 @@ def gradient(params: ModelParams, dataset: TabularDataset):
     grad_w /= dataset.n
     grad_b = float(np.add.reduce(err) / dataset.n)  # err.mean()
     return grad_w, grad_b
-
-
-def _canonical_order(dataset: TabularDataset) -> np.ndarray:
-    # reference for the cached TabularDataset.canonical_order, which
-    # client_update uses: lexicographic row order, so results do not depend
-    # on how the caller happened to order the shard
-    keys = [dataset.sensitive, dataset.labels]
-    keys.extend(dataset.features[:, j] for j in range(dataset.dim - 1, -1, -1))
-    return np.lexsort(keys)
 
 
 def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) -> ModelParams:

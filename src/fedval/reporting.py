@@ -1,6 +1,7 @@
 """Per-round reports and their on-disk forms.
 
-Every strategy emits one RoundReport per communication round.  Reports
+Every strategy's round returns a `server.RoundInfo`; `round_report` turns
+it, with the new global model, into the round's RoundReport.  Reports
 serialize two ways: a JSON-lines stream (one object per round, append
 mode) and a flat CSV holding one row per client per round plus one
 global-metrics row per round.  Fields a strategy does not define (e.g.
@@ -17,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .metrics import OBJECTIVE_KINDS
+from .metrics import OBJECTIVE_KINDS, accuracy, eod, spd
 
 CSV_COLUMNS = (
     "round",
@@ -61,30 +62,6 @@ class RoundReport:
     clients: tuple[ClientRoundRecord, ...]
     rs_spread: float | None = None  # max/min rank mass, ranking only
 
-    def to_json_obj(self) -> dict:
-        return {
-            "round": self.round,
-            "global": {
-                "accuracy": self.global_accuracy,
-                "spd": self.global_spd,
-                "eod": self.global_eod,
-            },
-            "rs_spread": self.rs_spread,
-            "clients": [
-                {
-                    "client_id": c.client_id,
-                    "behavior": c.behavior,
-                    "n": c.n,
-                    "local_loss": c.local_loss,
-                    "scores": c.scores,
-                    "composite": c.composite,
-                    "p": c.p,
-                    "rs": c.rs,
-                }
-                for c in self.clients
-            ],
-        }
-
     @staticmethod
     def from_json_obj(obj: dict) -> "RoundReport":
         return RoundReport(
@@ -107,6 +84,50 @@ class RoundReport:
                 for c in obj["clients"]
             ),
         )
+
+
+def round_report(round_index: int, params, validation, clients, info) -> RoundReport:
+    """The report of one round of any strategy.
+
+    `params` is the round's new global model, evaluated once each by
+    accuracy, SPD and EOD on `validation`; `info` is the round's
+    `server.RoundInfo`.  Client records follow ascending client id.  With
+    rank mass in `info`, `rs_spread` is its max/min over `clients` (null
+    while some client has none).
+    """
+    p = dict(zip(info.weights.client_ids, info.weights.p))
+    scores, composite, rs = {}, {}, {}
+    if info.scores is not None:
+        scores = dict(zip(info.scores.client_ids, info.scores.per_objective))
+        composite = dict(zip(info.scores.client_ids, info.scores.composite))
+    if info.rank is not None:
+        rs = info.rank.rs
+    records = tuple(
+        ClientRoundRecord(
+            client_id=c.client_id,
+            behavior=c.behavior,
+            n=c.n,
+            local_loss=info.losses[c.client_id],
+            scores=scores.get(c.client_id),
+            composite=composite.get(c.client_id),
+            p=p[c.client_id],
+            rs=rs.get(c.client_id),
+        )
+        for c in sorted(clients, key=lambda c: c.client_id)
+    )
+    rs_spread = None
+    if info.rank is not None:
+        masses = [rs.get(c.client_id, 0.0) for c in records]
+        if min(masses) > 0:
+            rs_spread = max(masses) / min(masses)
+    return RoundReport(
+        round=round_index,
+        global_accuracy=accuracy(params, validation),
+        global_spd=spd(params, validation),
+        global_eod=eod(params, validation),
+        clients=records,
+        rs_spread=rs_spread,
+    )
 
 
 def _texts(value):
@@ -150,11 +171,13 @@ def _scores_texts(scores):
 def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
     """One report's rounds.jsonl line and rounds.csv rows, in one pass.
 
-    The line is `json.dumps(report.to_json_obj())` plus a newline.  The
-    rows hold each client's fields in `CSV_COLUMNS` order, then one global
-    row; a missing value is an empty cell, any other its `str`.  Every
-    value is formatted once for both forms; `tests/helpers.py` keeps the
-    plain row builder, `reference_csv_rows`, that the bytes must match.
+    This is the one place the on-disk layout is written; `read_jsonl`
+    reads it back.  The line is `json.dumps` of the nested report object
+    plus a newline.  The rows hold each client's fields in `CSV_COLUMNS`
+    order, then one global row; a missing value is an empty cell, any
+    other its `str`.  Every value is formatted once for both forms;
+    `tests/helpers.py` keeps the plain builders, `reference_json_obj` and
+    `reference_csv_rows`, that the bytes must match.
     """
     round_text, round_cell = _texts(report.round)
     objects, rows = [], []

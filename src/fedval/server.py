@@ -7,6 +7,11 @@ and aggregates with weights proportional to those scores.  An optional
 ranking scheme replaces raw scores with cumulative geometric rank mass:
 clients are ordered worst-to-best each round and the i-th position earns
 mu * rho**i, so consistently useful clients compound their influence.
+
+`fedval_round` returns the new global model, the new rank state and a
+`RoundInfo`: what the round did (weights, local losses, scores, rank mass).
+Every strategy returns a `RoundInfo` of the same kind, and
+`reporting.round_report` turns any of them into the round's report.
 """
 
 from __future__ import annotations
@@ -26,17 +31,8 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
 )
-from .metrics import (
-    ObjectiveSpec,
-    ScoreVector,
-    accuracy,
-    eod,
-    objective_scores,
-    positive_counts,
-    spd,
-)
+from .metrics import ObjectiveSpec, ScoreVector, objective_scores, positive_counts
 from .model import ModelParams, TrainConfig, client_cfg, client_update, loss
-from .reporting import ClientRoundRecord, RoundReport
 
 
 @dataclass(frozen=True)
@@ -98,6 +94,23 @@ class AggregationWeights:
                 raise DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]")
         if abs(sum(p) - 1.0) > 1e-12:
             raise DegenerateWeightsError(f"aggregation weights sum to {sum(p)!r}, not 1")
+
+
+@dataclass(frozen=True)
+class RoundInfo:
+    """What one round of any strategy did, for reporting and replay.
+
+    `weights` are the effective per-client weights (always a probability
+    vector), `losses` each client's local loss by id and `extras` the
+    intermediates a baseline's update used.  Only fedval sets `scores`,
+    and only fedval with ranking on sets `rank`, the new rank mass.
+    """
+
+    weights: AggregationWeights
+    losses: dict
+    extras: dict
+    scores: ScoreVector | None = None
+    rank: RankState | None = None
 
 
 def _check_blend(global_params: ModelParams, client_params: ModelParams, alpha: float) -> None:
@@ -224,12 +237,12 @@ def fedval_round(
     state: RankState,
     *,
     alpha: float = 0.5,
-    round_index: int = 0,
 ):
     """One full round: local updates, scoring, (optional) ranking, aggregation.
 
-    Returns (new_global, RoundReport, new_rank_state).  The rank state is
-    returned unchanged when ranking is disabled.
+    Returns (new_global, new_rank_state, RoundInfo).  The rank state is
+    returned unchanged when ranking is disabled; `info.losses` holds each
+    client's loss at its own local model.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     updated = [
@@ -246,33 +259,6 @@ def fedval_round(
         weights = make_weights(scores)
 
     new_global = aggregate([m for _, m in updated], weights)
-
-    records = []
-    for i, (c, (cid, model)) in enumerate(zip(ordered, updated)):
-        records.append(
-            ClientRoundRecord(
-                client_id=cid,
-                behavior=c.behavior,
-                n=c.n,
-                local_loss=loss(model, c.data),
-                scores=scores.per_objective[i],
-                composite=scores.composite[i],
-                p=weights.p[i],
-                rs=new_state.rs.get(cid) if rank_cfg.enabled else None,
-            )
-        )
-    rs_spread = None
-    if rank_cfg.enabled:
-        masses = [new_state.rs.get(c.client_id, 0.0) for c in ordered]
-        low = min(masses)
-        if low > 0:
-            rs_spread = max(masses) / low
-    report = RoundReport(
-        round=round_index,
-        global_accuracy=accuracy(new_global, validation),
-        global_spd=spd(new_global, validation),
-        global_eod=eod(new_global, validation),
-        clients=tuple(records),
-        rs_spread=rs_spread,
-    )
-    return new_global, report, new_state
+    losses = {cid: loss(model, c.data) for c, (cid, model) in zip(ordered, updated)}
+    rank = new_state if rank_cfg.enabled else None
+    return new_global, new_state, RoundInfo(weights, losses, {}, scores, rank)

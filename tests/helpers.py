@@ -83,6 +83,14 @@ def reference_sigmoid(z):
     return out
 
 
+def reference_canonical_order(dataset):
+    """Lexicographic row order of (features, label, group), the order the
+    cached TabularDataset.canonical_order must give."""
+    keys = [dataset.sensitive, dataset.labels]
+    keys.extend(dataset.features[:, j] for j in range(dataset.dim - 1, -1, -1))
+    return np.lexsort(keys)
+
+
 def reference_client_update(params, local, cfg):
     """Per-batch mini-batch SGD: gathers each batch from the canonical order
     through the epoch's permutation and steps out of place."""
@@ -160,8 +168,34 @@ def reference_eod(params, dataset):
 
 
 # ---------------------------------------------------------------------------
-# reference for the one-pass report writer
+# references for the one-pass report writer
 # ---------------------------------------------------------------------------
+
+
+def reference_json_obj(report):
+    """One report as the nested object its rounds.jsonl line is `json.dumps` of."""
+    return {
+        "round": report.round,
+        "global": {
+            "accuracy": report.global_accuracy,
+            "spd": report.global_spd,
+            "eod": report.global_eod,
+        },
+        "rs_spread": report.rs_spread,
+        "clients": [
+            {
+                "client_id": c.client_id,
+                "behavior": c.behavior,
+                "n": c.n,
+                "local_loss": c.local_loss,
+                "scores": c.scores,
+                "composite": c.composite,
+                "p": c.p,
+                "rs": c.rs,
+            }
+            for c in report.clients
+        ],
+    }
 
 
 def reference_csv_rows(report):

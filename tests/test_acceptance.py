@@ -185,7 +185,7 @@ def test_criterion_fedavg_reduction(capsys):
     worst = 0.0
     for t in range(1, 11):
         cfg = TrainConfig(epochs=1, batch_size=128, lr=0.1, seed=t)
-        fv, _, state = fedval_round(fv, clients, validation, ALL_THREE, cfg, RankingConfig(), state)
+        fv, state, _ = fedval_round(fv, clients, validation, ALL_THREE, cfg, RankingConfig(), state)
         fa, _ = fedavg_round(fa, clients, cfg)
         worst = max(worst, float(np.max(np.abs(_flat(fv) - _flat(fa)))))
     _verdict(
@@ -252,10 +252,10 @@ def test_criterion_weight_simplex(capsys):
 
         collected = []
         ranking = RankingConfig(enabled=bool(scenario % 2), initial_step=1.0, step_size=1.5)
-        _, report, _ = fedval_round(
+        _, _, info = fedval_round(
             params, clients, validation, ALL_THREE, cfg, ranking, RankState.zeros(ids)
         )
-        collected.append([c.p for c in report.clients])
+        collected.append(info.weights.p)
 
         _, info = fedavg_round(params, clients, cfg)
         collected.append(info.weights.p)
@@ -328,11 +328,11 @@ def test_criterion_weight_scale_invariance(capsys):
         base_weights = tuple(float(v) for v in rng.uniform(0.25, 2.0, size=3))
         base = ObjectiveSpec(tuple(zip(("accuracy", "spd", "eod"), base_weights)))
 
-        _, base_report, _ = fedval_round(
+        _, _, base_info = fedval_round(
             params, clients, validation, base, cfg, RankingConfig(), RankState.zeros(ids)
         )
         rank_cfg = RankingConfig(enabled=True, initial_step=1.0, step_size=1.5)
-        _, _, base_state = fedval_round(
+        _, base_state, _ = fedval_round(
             params, clients, validation, base, cfg, rank_cfg, RankState.zeros(ids)
         )
 
@@ -340,14 +340,14 @@ def test_criterion_weight_scale_invariance(capsys):
             scaled = ObjectiveSpec(
                 tuple((kind, alpha * w) for kind, w in zip(("accuracy", "spd", "eod"), base_weights))
             )
-            _, scaled_report, _ = fedval_round(
+            _, _, scaled_info = fedval_round(
                 params, clients, validation, scaled, cfg, RankingConfig(), RankState.zeros(ids)
             )
-            for b, s in zip(base_report.clients, scaled_report.clients):
-                gap = abs(b.p - s.p)
+            for b, s in zip(base_info.weights.p, scaled_info.weights.p):
+                gap = abs(b - s)
                 worst = max(worst, gap)
                 ok &= gap <= 1e-12
-            _, _, scaled_state = fedval_round(
+            _, scaled_state, _ = fedval_round(
                 params, clients, validation, scaled, cfg, rank_cfg, RankState.zeros(ids)
             )
             # identical orderings produce identical geometric masses

@@ -27,6 +27,7 @@ from fedval.errors import (
     RowParseError,
     SchemaError,
 )
+from fedval.model import ModelParams, loss
 from helpers import rows_as_multiset
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,26 @@ def test_dataset_is_immutable():
         ds.features[0, 0] = 5.0
     with pytest.raises(ValueError):
         ds.labels[0] = 1
+
+
+def test_dataset_does_not_alias_the_callers_arrays():
+    # the caller keeps its own arrays; turning writes back on there must not
+    # reach the dataset's rows or the values cached from them
+    X, labels, groups = np.zeros((4, 1)), np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    ds = TabularDataset(X, labels, groups)
+    model = ModelParams(np.array([1.0]), 0.0)
+    before = loss(model, ds)
+    assert before == pytest.approx(0.6931, abs=1e-4)
+    for arr in (X, labels, groups):
+        arr.flags.writeable = True
+    X[:] = 5.0
+    labels[:] = 0
+    groups[:] = 1
+    assert ds.features.tolist() == [[0.0]] * 4
+    assert ds.labels.tolist() == [0, 1, 0, 1]
+    assert ds.sensitive.tolist() == [0, 0, 1, 1]
+    assert loss(model, ds) == before
+    assert loss(model, TabularDataset(ds.features, ds.labels, ds.sensitive)) == before
 
 
 def test_cached_cell_arrays():

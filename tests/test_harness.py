@@ -8,6 +8,7 @@ import fedval.baselines
 import fedval.harness
 import fedval.metrics
 import fedval.model
+import fedval.reporting
 import fedval.server
 
 from fedval.data import ClientSpec, SkewSpec
@@ -440,7 +441,7 @@ def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
 
         return counted
 
-    for module in (fedval.server, fedval.baselines, fedval.harness):
+    for module in (fedval.server, fedval.baselines, fedval.harness, fedval.reporting):
         for name in ("loss", "gradient", "accuracy", "spd", "eod"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))

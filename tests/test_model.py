@@ -10,7 +10,6 @@ from fedval.errors import ConfigError, ShapeError
 from fedval.model import (
     ModelParams,
     TrainConfig,
-    _canonical_order,
     _sigmoid,
     classify,
     client_cfg,
@@ -24,6 +23,7 @@ from helpers import (
     coverage_dataset,
     random_case,
     random_params,
+    reference_canonical_order,
     reference_client_update,
     reference_gradient,
     reference_loss,
@@ -127,11 +127,6 @@ def test_classify_threshold_and_tie():
     p = ModelParams(np.array([1.0]), 0.0)
     got = classify(p, np.array([[5.0], [-5.0], [0.0]]))
     assert got.tolist() == [1, 0, 1]  # exact 0.5 goes positive
-
-
-def test_classify_custom_threshold():
-    p = ModelParams(np.array([1.0]), 0.0)
-    assert classify(p, np.array([[1.0], [2.0]]), threshold=0.75).tolist() == [0, 1]
 
 
 def test_dimension_mismatch_raises():
@@ -399,7 +394,6 @@ def test_is_positive_equals_the_sigmoid_rule():
     spread = np.concatenate([rng.standard_normal(500), -(10.0 ** rng.uniform(-20, 3, 1998)), [-800.0, 800.0]])
     for z in (tiny, near, spread, spread.reshape(5, -1)):
         assert np.array_equal(is_positive(z), _sigmoid(z) >= 0.5)
-        assert np.array_equal(is_positive(z, 0.75), _sigmoid(z) >= 0.75)
     assert is_positive(np.array([-1e-17]))[0]
 
 
@@ -421,7 +415,7 @@ def test_cached_canonical_order_equals_reference(seed, perm_seed):
     # repeated rows exercise the label and group tie-breaks
     shuffled = ds.subset(np.random.default_rng(perm_seed).integers(0, 30, 45))
     order = shuffled.canonical_order
-    assert np.array_equal(order, _canonical_order(shuffled))
+    assert np.array_equal(order, reference_canonical_order(shuffled))
     assert shuffled.canonical_order is order
     assert not order.flags.writeable
 

@@ -10,16 +10,18 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedval.data import BEHAVIORS
-from fedval.metrics import OBJECTIVE_KINDS
+from fedval.data import BEHAVIORS, ClientProfile
+from fedval.metrics import OBJECTIVE_KINDS, ScoreVector, accuracy, eod, spd
 from fedval.reporting import (
     CSV_COLUMNS,
     ClientRoundRecord,
     RoundReport,
     RoundWriter,
     read_jsonl,
+    round_report,
 )
-from helpers import reference_csv_rows
+from fedval.server import AggregationWeights, RankState, RoundInfo
+from helpers import UNIT_MODEL, coverage_dataset, reference_csv_rows, reference_json_obj
 
 
 def sample_report(round_index=1, with_rank=True):
@@ -65,13 +67,13 @@ def baseline_report(round_index=1):
 
 def test_json_roundtrip_preserves_everything():
     report = sample_report()
-    again = RoundReport.from_json_obj(json.loads(json.dumps(report.to_json_obj())))
+    again = RoundReport.from_json_obj(json.loads(json.dumps(reference_json_obj(report))))
     assert again == report
 
 
 def test_json_roundtrip_with_nulls():
     report = baseline_report()
-    again = RoundReport.from_json_obj(json.loads(json.dumps(report.to_json_obj())))
+    again = RoundReport.from_json_obj(json.loads(json.dumps(reference_json_obj(report))))
     assert again == report
     assert again.rs_spread is None
     assert again.clients[0].scores is None
@@ -135,6 +137,50 @@ def test_csv_rows_print_numpy_floats_as_python_floats():
     assert reference_csv_rows(as_numpy) == reference_csv_rows(report)
 
 
+def _two_clients():
+    # listed out of id order: the report follows ascending client id
+    return [
+        ClientProfile(7, "uncooperative", coverage_dataset(8, 1, seed=1)),
+        ClientProfile(2, "cooperative", coverage_dataset(12, 1, seed=2)),
+    ]
+
+
+def test_round_report_of_a_baseline_round():
+    validation = coverage_dataset(30, 1, seed=3)
+    info = RoundInfo(AggregationWeights((7, 2), (0.25, 0.75)), {2: 0.4, 7: 0.9}, {"h": 1.0})
+    report = round_report(5, UNIT_MODEL, validation, _two_clients(), info)
+    assert report == RoundReport(
+        round=5,
+        global_accuracy=accuracy(UNIT_MODEL, validation),
+        global_spd=spd(UNIT_MODEL, validation),
+        global_eod=eod(UNIT_MODEL, validation),
+        clients=(
+            ClientRoundRecord(client_id=2, behavior="cooperative", n=12, local_loss=0.4, p=0.75),
+            ClientRoundRecord(client_id=7, behavior="uncooperative", n=8, local_loss=0.9, p=0.25),
+        ),
+    )
+
+
+def test_round_report_of_a_scored_and_ranked_round():
+    validation = coverage_dataset(30, 1, seed=3)
+    scores = ScoreVector((2, 7), (1.5, 0.5), ({"accuracy": 1.5}, {"accuracy": 0.5}))
+    weights = AggregationWeights((2, 7), (0.8, 0.2))
+    info = RoundInfo(weights, {2: 0.4, 7: 0.9}, {}, scores, RankState({2: 4.0, 7: 1.0}))
+    report = round_report(1, UNIT_MODEL, validation, _two_clients(), info)
+    assert [(c.client_id, c.scores, c.composite, c.p, c.rs) for c in report.clients] == [
+        (2, {"accuracy": 1.5}, 1.5, 0.8, 4.0),
+        (7, {"accuracy": 0.5}, 0.5, 0.2, 1.0),
+    ]
+    assert report.rs_spread == 4.0
+    # a client without mass leaves the spread undefined
+    unranked = RoundInfo(weights, info.losses, {}, scores, RankState({2: 4.0, 7: 0.0}))
+    report = round_report(1, UNIT_MODEL, validation, _two_clients(), unranked)
+    assert report.clients[1].rs == 0.0 and report.rs_spread is None
+    # with ranking off, no mass and no spread
+    report = round_report(1, UNIT_MODEL, validation, _two_clients(), RoundInfo(weights, info.losses, {}, scores))
+    assert [c.rs for c in report.clients] == [None, None] and report.rs_spread is None
+
+
 def test_round_writer_streams_both_formats(tmp_path):
     with RoundWriter(tmp_path) as writer:
         writer.write(sample_report(round_index=1))
@@ -167,7 +213,7 @@ def test_round_writer_appends_without_duplicate_header(tmp_path):
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "rounds.jsonl"
-    obj = json.dumps(sample_report().to_json_obj())
+    obj = json.dumps(reference_json_obj(sample_report()))
     path.write_text(obj + "\n\n" + obj + "\n")
     assert len(read_jsonl(path)) == 2
 
@@ -226,7 +272,7 @@ def test_round_writer_bytes_equal_the_library_forms(reports):
     rows.writerow(CSV_COLUMNS)
     for report in reports:
         rows.writerows(reference_csv_rows(report))
-    want_jsonl = "".join(json.dumps(report.to_json_obj()) + "\n" for report in reports)
+    want_jsonl = "".join(json.dumps(reference_json_obj(report)) + "\n" for report in reports)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with RoundWriter(out) as writer:

@@ -23,6 +23,7 @@ from fedval.errors import (
 )
 from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, objective_score, spd
 from fedval.model import ModelParams, TrainConfig, classify, client_cfg, client_update, loss
+from fedval.reporting import round_report
 from fedval.server import (
     AggregationWeights,
     RankingConfig,
@@ -41,6 +42,7 @@ from helpers import (
     random_params,
     reference_accuracy,
     reference_eod,
+    reference_json_obj,
     reference_spd,
 )
 
@@ -425,11 +427,12 @@ def small_world():
 def test_fedval_round_report_shape(small_world):
     clients, validation = small_world
     cfg = TrainConfig(epochs=1, batch_size=32, lr=0.1, seed=5)
-    new_global, report, state = fedval_round(
+    new_global, state, info = fedval_round(
         ModelParams.zeros(4), clients, validation, ALL_THREE, cfg,
         RankingConfig(), RankState.zeros([c.client_id for c in clients]),
-        round_index=3,
     )
+    assert info.rank is None  # ranking off
+    report = round_report(3, new_global, validation, clients, info)
     assert report.round == 3
     assert [c.client_id for c in report.clients] == [0, 1, 2]
     assert sum(c.p for c in report.clients) == pytest.approx(1.0, abs=1e-12)
@@ -448,21 +451,25 @@ def test_fedval_round_is_deterministic(small_world):
     cfg = TrainConfig(epochs=2, batch_size=16, lr=0.1, seed=11)
     args = (ModelParams.zeros(4), clients, validation, ALL_THREE, cfg)
     state0 = RankState.zeros([c.client_id for c in clients])
-    a_global, a_report, _ = fedval_round(*args, RankingConfig(), state0)
-    b_global, b_report, _ = fedval_round(*args, RankingConfig(), state0)
+    a_global, _, a_info = fedval_round(*args, RankingConfig(), state0)
+    b_global, _, b_info = fedval_round(*args, RankingConfig(), state0)
     assert np.array_equal(a_global.weights, b_global.weights)
     assert a_global.bias == b_global.bias
-    assert a_report.to_json_obj() == b_report.to_json_obj()
+    a_report = round_report(1, a_global, validation, clients, a_info)
+    b_report = round_report(1, b_global, validation, clients, b_info)
+    assert reference_json_obj(a_report) == reference_json_obj(b_report)
 
 
 def test_fedval_round_client_order_does_not_matter(small_world):
     clients, validation = small_world
     cfg = TrainConfig(epochs=1, batch_size=32, lr=0.1, seed=7)
     state0 = RankState.zeros([c.client_id for c in clients])
-    a, ra, _ = fedval_round(ModelParams.zeros(4), clients, validation, ALL_THREE, cfg, RankingConfig(), state0)
-    b, rb, _ = fedval_round(ModelParams.zeros(4), clients[::-1], validation, ALL_THREE, cfg, RankingConfig(), state0)
+    a, _, ia = fedval_round(ModelParams.zeros(4), clients, validation, ALL_THREE, cfg, RankingConfig(), state0)
+    b, _, ib = fedval_round(ModelParams.zeros(4), clients[::-1], validation, ALL_THREE, cfg, RankingConfig(), state0)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    assert ra.to_json_obj() == rb.to_json_obj()
+    ra = round_report(1, a, validation, clients, ia)
+    rb = round_report(1, b, validation, clients[::-1], ib)
+    assert reference_json_obj(ra) == reference_json_obj(rb)
 
 
 def test_fedval_round_ranking_accumulates(small_world):
@@ -471,11 +478,13 @@ def test_fedval_round_ranking_accumulates(small_world):
     rank_cfg = RankingConfig(enabled=True, initial_step=1.0, step_size=2.0)
     state = RankState.zeros([c.client_id for c in clients])
     params = ModelParams.zeros(4)
-    params, report1, state = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state)
+    params, state, info1 = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state)
+    report1 = round_report(1, params, validation, clients, info1)
     assert sorted(state.rs.values()) == [1.0, 2.0, 4.0]
     assert report1.rs_spread == 4.0
     assert all(c.rs is not None for c in report1.clients)
-    params, report2, state = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state, round_index=1)
+    params, state, info2 = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state)
+    report2 = round_report(2, params, validation, clients, info2)
     assert sum(state.rs.values()) == pytest.approx(14.0, abs=1e-12)
     # weights now come from the mass, not the raw scores
     expected = {c.client_id: state.rs[c.client_id] / 14.0 for c in clients}
@@ -490,10 +499,11 @@ def test_fedval_round_uniform_when_clients_are_identical():
     clients = [ClientProfile(client_id=i, behavior="cooperative", data=shard) for i in range(3)]
     validation = coverage_dataset(40, 3, seed=14)
     cfg = TrainConfig(epochs=2, batch_size=60, lr=0.2, seed=3)
-    _, report, _ = fedval_round(
+    new_global, _, info = fedval_round(
         ModelParams.zeros(3), clients, validation, ALL_THREE, cfg,
         RankingConfig(), RankState.zeros([0, 1, 2]),
     )
+    report = round_report(1, new_global, validation, clients, info)
     for c in report.clients:
         assert c.p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -508,10 +518,10 @@ def test_fedval_round_replays_as_published_pipeline(small_world):
     start = random_params(4, seed=21)
     state0 = RankState.zeros(ids)
 
-    new_global, report, new_state = fedval_round(
-        start, clients, validation, ALL_THREE, cfg, rank_cfg, state0,
-        alpha=0.4, round_index=3,
+    new_global, new_state, info = fedval_round(
+        start, clients, validation, ALL_THREE, cfg, rank_cfg, state0, alpha=0.4,
     )
+    report = round_report(3, new_global, validation, clients, info)
 
     ordered = sorted(clients, key=lambda c: c.client_id)
     updated = [
@@ -526,6 +536,10 @@ def test_fedval_round_replays_as_published_pipeline(small_world):
     assert np.array_equal(new_global.weights, expected.weights)
     assert new_global.bias == expected.bias
     assert new_state.rs == state1.rs
+    assert info.weights == weights
+    assert info.scores == scores
+    assert info.rank.rs == state1.rs
+    assert info.extras == {}
 
     assert report.round == 3
     assert report.global_accuracy == accuracy(expected, validation)
