@@ -79,7 +79,10 @@ def project_simplex(v) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"simplex projection needs a non-empty vector, got shape {v.shape}")
     u = np.sort(v)[::-1]
-    css = np.cumsum(u)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported just below
+        css = np.cumsum(u)
+    if not math.isfinite(css[-1]):
+        raise NumericOverflowError(f"simplex projection: the entries sum to {css[-1]}")
     positions = np.arange(1, v.size + 1)
     rho = np.nonzero(u + (1.0 - css) / positions > 0)[0][-1]
     theta = (1.0 - css[rho]) / (rho + 1.0)

@@ -21,7 +21,15 @@ from pathlib import Path
 
 from .data import GROUP_A, DatasetSchema, generate_synthetic, load_csv
 from .errors import ConfigError, FedValError
-from .harness import ExperimentConfig, SweepSpec, preset, preset_names, run_experiment, run_sweep
+from .harness import (
+    ExperimentConfig,
+    SweepSpec,
+    SyntheticSpec,
+    preset,
+    preset_names,
+    run_experiment,
+    run_sweep,
+)
 from .metrics import accuracy, eod, spd
 from .model import ModelParams
 
@@ -77,17 +85,19 @@ def _cmd_preset(args) -> int:
 def _cmd_gen_data(args) -> int:
     raw = _load_json(args.spec, "data spec")
     try:
-        n = int(raw["n"])
-        dim = int(raw["dim"])
-        rates = (float(raw["positive_rates"][0]), float(raw["positive_rates"][1]))
-        seed = int(raw.get("seed", 0))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        spec = SyntheticSpec(
+            n=int(raw["n"]),
+            dim=int(raw["dim"]),
+            positive_rates=(float(raw["positive_rates"][0]), float(raw["positive_rates"][1])),
+            seed=int(raw.get("seed", 0)),
+        )
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed data spec: {exc!r}") from exc
-    dataset = generate_synthetic(n, dim, rates, seed)
+    dataset = generate_synthetic(spec.n, spec.dim, spec.positive_rates, spec.seed)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    feature_names = [f"f{j}" for j in range(dim)]
+    feature_names = [f"f{j}" for j in range(dataset.dim)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(feature_names + ["label", "group"])

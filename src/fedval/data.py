@@ -64,11 +64,11 @@ class TabularDataset:
             raise DataError(
                 f"row count mismatch: features {n}, labels {labels.shape}, sensitive {sens.shape}"
             )
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise DataError("features contain non-finite values")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be binary 0/1")
-        if not np.isin(sens, (0, 1)).all():
+        if not ((sens == 0) | (sens == 1)).all():
             raise DataError("sensitive column must be binary 0/1")
         for arr, name in ((feats, "features"), (labels, "labels"), (sens, "sensitive")):
             arr.flags.writeable = False
@@ -113,7 +113,9 @@ class TabularDataset:
 
     def subset(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return TabularDataset(self.features[idx], self.labels[idx], self.sensitive[idx])
+        return TabularDataset(
+            self.features.take(idx, axis=0), self.labels.take(idx), self.sensitive.take(idx)
+        )
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,11 @@ class SyntheticSpec:
     positive_rates: tuple[float, float]
     seed: int | None = None
 
+    def __post_init__(self):
+        # numpy seeds only from non-negative integers
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"synthetic data seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -109,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"strategy {self.strategy!r} requires a qfed section")
         if not (self.afl_lambda_lr > 0 and math.isfinite(self.afl_lambda_lr)):
             raise ConfigError(f"afl lambda_lr must be positive, got {self.afl_lambda_lr}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         """Fully-resolved config: feeding this back reproduces the run."""
@@ -253,7 +260,8 @@ class ExperimentConfig:
             )
         except FedValError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+            # OverflowError: int() of an infinite number
             raise ConfigError(f"malformed config: {exc!r}") from exc
 
     @staticmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class ModelParams:
         if w.ndim != 1:
             raise ShapeError(f"weights must be 1-d, got shape {w.shape}")
         b = float(self.bias)
-        if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+        if not (np.isfinite(w).all() and math.isfinite(b)):
             raise ShapeError("model parameters must be finite")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -94,8 +94,12 @@ class TrainConfig:
 
 
 def client_cfg(cfg: TrainConfig, client_id: int) -> TrainConfig:
-    """The per-client view of a round's TrainConfig (reseeded per client)."""
-    return replace(cfg, seed=derive_seed(cfg.seed, "client", client_id))
+    """The per-client view of a round's TrainConfig (reseeded per client).
+
+    Equal to `dataclasses.replace(cfg, seed=...)`, built directly because
+    it runs once per client per round.
+    """
+    return TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, derive_seed(cfg.seed, "client", client_id))
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -232,19 +236,21 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
     b = params.bias
     for _ in range(cfg.epochs):
         # one gather per epoch puts the shuffled rows in batch order, so
-        # each step reads contiguous slices
+        # each step reads contiguous slices; take is the cheaper row gather
+        # for a 2-d array, indexing for a 1-d one
         rows = order[rng.permutation(n)]
-        X = features[rows]
+        X = features.take(rows, axis=0)
         y = labels[rows]
         for start in range(0, n, size):
             xb = X[start : start + size]
             m = xb.shape[0]
-            z = xb @ w
+            z = xb.dot(w)  # the gemv of xb @ w, with less dispatch
             z += b
             err = _sigmoid(z, out=z)
             err -= y[start : start + size]
-            # in place, in the order of w -= lr * (xb.T @ err) / m
-            g = xb.T @ err
+            # in place, in the order of w -= lr * (xb.T @ err) / m; err.dot(xb)
+            # is the same gemv as xb.T @ err
+            g = err.dot(xb)
             g *= lr
             g /= m
             w -= g

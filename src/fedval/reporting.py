@@ -39,7 +39,13 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ClientRoundRecord:
-    """One client's view of one round."""
+    """One client's view of one round.
+
+    `local_loss` is the client's loss on its own shard, but at a different
+    model per strategy: at the client's local model after SGD for fedval
+    and fedavg, and at the incoming global model (the F_k the update uses)
+    for qfedsgd, qfedavg and afl.
+    """
 
     client_id: int
     behavior: str

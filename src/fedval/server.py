@@ -101,9 +101,11 @@ class RoundInfo:
     """What one round of any strategy did, for reporting and replay.
 
     `weights` are the effective per-client weights (always a probability
-    vector), `losses` each client's local loss by id and `extras` the
-    intermediates a baseline's update used.  Only fedval sets `scores`,
-    and only fedval with ranking on sets `rank`, the new rank mass.
+    vector), `losses` each client's loss on its shard by id and `extras` the
+    intermediates a baseline's update used.  The loss is taken at the
+    client's local model after SGD for fedval and fedavg, and at the
+    incoming global model for qfedsgd, qfedavg and afl.  Only fedval sets
+    `scores`, and only fedval with ranking on sets `rank`, the new rank mass.
     """
 
     weights: AggregationWeights

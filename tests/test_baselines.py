@@ -76,6 +76,12 @@ def test_project_simplex_shape_errors():
         project_simplex([])
 
 
+def test_project_simplex_reports_an_overflowing_sum():
+    # an AFL ascent with lambda_lr 1e308 gives entries whose sum overflows
+    with pytest.raises(NumericOverflowError, match="sum to inf"):
+        project_simplex([1e308, 1e308])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
 def test_project_simplex_properties(values):

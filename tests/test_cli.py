@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedval
 from fedval.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from fedval.data import DatasetSchema, load_csv
-from fedval.harness import preset_names
+from fedval.harness import STRATEGIES, preset_names
 from fedval.model import ModelParams
 
 
@@ -86,6 +93,116 @@ def test_run_semantic_config_error(tiny_config_file, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_run_negative_synthetic_seed_is_config_error(tiny_config_file, tmp_path, capsys):
+    raw = json.loads(tiny_config_file.read_text())
+    raw["data"]["synthetic"]["seed"] = -5
+    bad = write_json(tmp_path / "negative_seed.json", raw)
+    assert main(["run", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "-5" in err
+
+
+# a config that every strategy runs in milliseconds, with every section set
+def _fuzz_base(strategy):
+    return {
+        "strategy": strategy,
+        "rounds": 2,
+        "seed": 7,
+        "out_dir": "run",
+        "data": {"synthetic": {"n": 160, "dim": 3, "positive_rates": [0.6, 0.4], "seed": 11}},
+        "validation_fraction": 0.25,
+        "clients": [
+            {"behavior": "cooperative"},
+            {"behavior": "uncooperative", "skew": {"ratio": 0.5, "retain": 1.0, "group": "d"}},
+            "normal",
+        ],
+        "objectives": [{"kind": "accuracy", "weight": 1.0}, {"kind": "spd", "weight": 1.0}],
+        "train": {"epochs": 1, "batch_size": 16, "lr": 0.1},
+        "ranking": {"enabled": True, "initial_step": 1.0, "step_size": 1.5},
+        "temp_alpha": 0.5,
+        "qfed": {"q": 1.0, "lipschitz": 1.0},
+        "afl": {"lambda_lr": 0.1},
+        "note": "",
+    }
+
+
+def _paths(obj, prefix=()):
+    """Every key path in a config, to containers as well as to values."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_FUZZ_PATHS = tuple(_paths(_fuzz_base("fedval")))
+_DELETE = "<delete>"
+_WRONG_TYPES = ("x", "", [], {}, None, True, [1, 2], {"a": 1}, 1.5)
+_NEGATIVE = (-1, -5, -0.5, -1e9, -math.inf)
+_HUGE = (2**64, 10**30, 1e308, math.inf, math.nan)
+# values that set how long a run takes never become huge, so every case
+# stays small; a negative or wrongly typed one must still be rejected
+_COST_PATHS = {("rounds",), ("data", "synthetic", "n"), ("data", "synthetic", "dim"), ("train", "epochs")}
+
+
+@st.composite
+def _mutations(draw):
+    path = draw(st.sampled_from(_FUZZ_PATHS))
+    huge = () if path in _COST_PATHS else _HUGE
+    return path, draw(st.sampled_from((_DELETE, *_WRONG_TYPES, *_NEGATIVE, *huge)))
+
+
+def _mutate(raw, path, value):
+    """Set (or delete) `path` in `raw`; a path an earlier mutation removed is skipped."""
+    node = raw
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(node, dict):
+        present = key in node
+    else:
+        present = isinstance(node, list) and isinstance(key, int) and key < len(node)
+    if not present:
+        return
+    if value == _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(STRATEGIES),
+    mutations=st.lists(_mutations(), min_size=1, max_size=3),
+)
+@example(strategy="fedval", mutations=[(("data", "synthetic", "seed"), -5)])
+def test_run_of_a_mutated_config_exits_cleanly(strategy, mutations):
+    # wrong types, negative or huge numbers and missing keys: the CLI
+    # reports each as a config (2) or runtime (3) error, never a traceback
+    raw = _fuzz_base(strategy)
+    for path, value in mutations:
+        _mutate(raw, path, value)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative out_dir values, the default one included, land here
+        try:
+            Path("config.json").write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    # numpy's overflow warnings (train.lr 1e308) print a line and the
+                    # run goes on to exit 0 or 3; this test checks exit codes only
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    code = main(["run", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -137,6 +254,12 @@ def test_gen_data_is_seed_deterministic(tmp_path):
 
 def test_gen_data_malformed_spec(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"n": 50})  # missing dim/rates
+    assert main(["gen-data", str(spec), str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_gen_data_negative_seed_is_config_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"n": 50, "dim": 2, "positive_rates": [0.5, 0.5], "seed": -5})
     assert main(["gen-data", str(spec), str(tmp_path / "out.csv")]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
 

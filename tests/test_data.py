@@ -51,8 +51,11 @@ def test_dataset_rejects_mismatched_rows():
 
 
 def test_dataset_rejects_nonbinary_labels():
-    with pytest.raises(DataError):
-        TabularDataset(np.zeros((2, 1)), [0, 2], [0, 1])
+    for bad in (2, -1):
+        with pytest.raises(DataError, match="labels must be binary"):
+            TabularDataset(np.zeros((2, 1)), [0, bad], [0, 1])
+        with pytest.raises(DataError, match="sensitive column must be binary"):
+            TabularDataset(np.zeros((2, 1)), [0, 1], [bad, 1])
 
 
 def test_dataset_rejects_nonfinite_features():

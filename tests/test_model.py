@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from fedval.model import (
     loss,
     predict_proba,
 )
+from fedval.seeding import derive_seed
 from helpers import (
     coverage_dataset,
     random_case,
@@ -234,6 +236,7 @@ def test_client_cfg_derives_distinct_per_client_seeds():
     assert c0.seed != c1.seed != cfg.seed
     assert (c0.epochs, c0.batch_size, c0.lr) == (1, 4, 0.1)
     assert client_cfg(cfg, 0).seed == c0.seed  # stable
+    assert c1 == dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "client", 1))
 
 
 def test_single_full_batch_step_matches_gradient_oracle():
@@ -325,6 +328,9 @@ def test_row_order_invariance_property(seed, perm_seed):
 @example(seed=1, n=1, dim=1, batch=1, epochs=1, lr=0.1, scale=1.0)
 @example(seed=2, n=20, dim=5, batch=64, epochs=2, lr=5.0, scale=100.0)  # batch > n
 @example(seed=3, n=400, dim=12, batch=63, epochs=3, lr=1.0, scale=1.0)  # ragged last batch of 22
+@example(seed=6, n=33, dim=4, batch=32, epochs=2, lr=0.5, scale=1.0)  # last batch of one row
+@example(seed=7, n=400, dim=1, batch=32, epochs=2, lr=0.1, scale=1.0)  # one feature
+@example(seed=8, n=10, dim=6, batch=32, epochs=3, lr=1.0, scale=100.0)  # n < batch, every epoch
 def test_client_update_equals_the_per_batch_reference(seed, n, dim, batch, epochs, lr, scale):
     # exactness bound: none.  The one-gather-per-epoch loop with its in-place
     # step must repeat the reference's float operations bit for bit.
