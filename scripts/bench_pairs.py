@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Compare two fedval checkouts on one benchmark workload, in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload afl-k10 --pairs 10 --seconds 30
+
+Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
+in each checkout, one run at a time: the parent first in even pairs (the
+first pair included), the change first in odd ones, so neither side always
+runs on the host's later level.  For every end-to-end metric the script
+prints each side's median with its quartiles over the pairs, the relative
+change of the medians and the number of pairs the change won (ties count
+for neither side).  Which direction is better is read from BENCHMARK.json
+beside this script.
+
+Nothing is written but what perfbench itself writes: its work directory
+under each checkout, which it removes.  Exits 1 if any run is not correct
+(a run that failed, or whose last line reports "correct": false), else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """One perfbench run in `checkout`; its last stdout line, or None if the run failed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=4 * seconds + 300)
+    except subprocess.TimeoutExpired:
+        print(f"  {checkout}: seed {seed} timed out", file=sys.stderr)
+        return None
+    lines = proc.stdout.strip().splitlines()
+    try:
+        last = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        print(f"  {checkout}: seed {seed} exited {proc.returncode} without a result\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    if proc.returncode != 0 or not last.get("correct"):
+        print(f"  {checkout}: seed {seed} is not correct (exit {proc.returncode})\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return last
+
+
+def spread(values: list[float]) -> tuple[float, float, float]:
+    """(median, first quartile, third quartile), with perfbench's quartile rule."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q1, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = {"parent": [], "change": []}  # per pair: the metrics dict, or None for a failed run
+    for seed in range(args.pairs):
+        order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        for side in order:
+            last = run_once(sides[side], args.workload, seed, args.seconds)
+            results[side].append(None if last is None else last["metrics"])
+            print(f"pair {seed}: {side} {'done' if last else 'FAILED'}", file=sys.stderr)
+
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds 0-{args.pairs - 1}")
+    print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} {'change':>8s} {'wins':>6s}")
+    for name, direction in better.items():
+        pairs = [(p[name]["value"], c[name]["value"])
+                 for p, c in zip(results["parent"], results["change"])
+                 if p is not None and c is not None and name in p and name in c]
+        if not pairs:
+            print(f"{name:24s} no pair with both runs correct")
+            continue
+        parent, change = zip(*pairs)
+        pm, pq1, pq3 = spread(list(parent))
+        cm, cq1, cq3 = spread(list(change))
+        wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+        rel = f"{(cm / pm - 1) * 100:+.1f}%" if pm else "n/a"
+        print(f"{name:24s} {f'{pm:.4g} [{pq1:.4g}, {pq3:.4g}]':34s} "
+              f"{f'{cm:.4g} [{cq1:.4g}, {cq3:.4g}]':34s} {rel:>8s} {f'{wins}/{len(pairs)}':>6s}")
+
+    failed = sum(r is None for side in results.values() for r in side)
+    if failed:
+        print(f"{failed} run(s) not correct", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

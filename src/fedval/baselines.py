@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,17 +75,30 @@ class AFLState:
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
+    """Euclidean projection of a vector onto the probability simplex.
+
+    With u the entries sorted in descending order and c their running sums,
+    the projection is max(v + theta, 0), theta = (1 - c[rho]) / (rho + 1),
+    where rho is the last index with u[rho] + (1 - c[rho]) / (rho + 1) > 0.
+    The vector holds one entry per client, so the sums and the scan run on
+    Python floats: their arithmetic is float64's, `accumulate` adds in
+    numpy's cumsum order, and an overflowing sum gives inf without a warning.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"simplex projection needs a non-empty vector, got shape {v.shape}")
-    u = np.sort(v)[::-1]
-    with np.errstate(over="ignore"):  # an overflowing sum is reported just below
-        css = np.cumsum(u)
+    u = sorted(v.tolist(), reverse=True)
+    css = list(accumulate(u))
     if not math.isfinite(css[-1]):
         raise NumericOverflowError(f"simplex projection: the entries sum to {css[-1]}")
-    positions = np.arange(1, v.size + 1)
-    rho = np.nonzero(u + (1.0 - css) / positions > 0)[0][-1]
+    # scanned from the end, the first index that passes is the last one
+    for rho in range(len(u) - 1, -1, -1):
+        if u[rho] + (1.0 - css[rho]) / (rho + 1) > 0:
+            break
+    else:  # entries so large that 1 - c[j] rounds to -c[j] everywhere
+        raise NumericOverflowError(
+            f"simplex projection: entries up to {u[0]!r} are too large to shift by 1"
+        )
     theta = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(v + theta, 0.0)
 
@@ -222,22 +236,28 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
     ids = tuple(c.client_id for c in ordered)
     if set(ids) != set(state.client_ids):
         raise ConfigError("AFL state does not cover the participating clients")
-    lam = {cid: l for cid, l in zip(state.client_ids, state.lam)}
+    lam = dict(zip(state.client_ids, state.lam))
 
-    mixed = np.zeros(global_params.dim + 1)
+    # the lambda-mixed gradient, weights and bias apart: element for element
+    # the sum and the step the flat vector [w, b] would take
+    mixed_w = np.zeros(global_params.dim)
+    mixed_b = 0.0
     losses = {}
     for c in ordered:
         gw, gb = gradient(global_params, c.data)
         weight = lam[c.client_id]
-        mixed[:-1] += weight * gw  # element for element, mixed += weight * [gw, gb]
-        mixed[-1] += weight * gb
+        mixed_w += weight * gw
+        mixed_b += weight * gb
         losses[c.client_id] = loss(global_params, c.data)
-    new_global = _unflat(_flat(global_params) - train_cfg.lr * mixed)
+    lr = train_cfg.lr
+    new_global = ModelParams(global_params.weights - lr * mixed_w, global_params.bias - lr * mixed_b)
 
-    ascended = np.array([lam[cid] + state.lr_lambda * losses[cid] for cid in ids])
-    new_lam = project_simplex(ascended)
-    new_state = AFLState(ids, tuple(new_lam), state.lr_lambda)
+    mixture = [lam[cid] for cid in ids]
+    new_lam = project_simplex(
+        [l + state.lr_lambda * losses[cid] for cid, l in zip(ids, mixture)]
+    ).tolist()
+    new_state = AFLState(ids, new_lam, state.lr_lambda)
 
-    weights = AggregationWeights(ids, tuple(lam[cid] for cid in ids))
-    info = RoundInfo(weights, losses, {"lambda_next": {cid: float(v) for cid, v in zip(ids, new_lam)}})
+    weights = AggregationWeights(ids, mixture)
+    info = RoundInfo(weights, losses, {"lambda_next": dict(zip(ids, new_lam))})
     return new_global, new_state, info

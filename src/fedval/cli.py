@@ -63,6 +63,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.spec, "sweep spec")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"sweep spec must be a JSON object, got {type(raw).__name__}")
     if "base" not in raw:
         raise ConfigError("sweep spec must embed the experiment under a 'base' key")
     base = ExperimentConfig.from_dict(raw["base"])

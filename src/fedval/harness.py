@@ -312,7 +312,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     with RoundWriter(out) as writer:
         for t in range(1, cfg.rounds + 1):
-            round_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "round", t))
+            # replace(cfg.train, seed=...), built directly as model.client_cfg does
+            train = cfg.train
+            round_cfg = TrainConfig(
+                train.epochs, train.batch_size, train.lr, derive_seed(cfg.seed, "round", t)
+            )
             if cfg.strategy == "fedval":
                 params, rank_state, info = fedval_round(
                     params,
@@ -459,7 +463,8 @@ class SweepSpec:
                 ),
                 replicate_seeds=tuple(raw["replicate_seeds"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # ValueError, OverflowError: int() of a non-numeric string, NaN or an infinity
             raise ConfigError(f"malformed sweep spec: {exc!r}") from exc
 
 

@@ -21,6 +21,7 @@ from .seeding import derive_seed
 # probabilities are clamped to this band inside the loss so that a fully
 # saturated wrong prediction stays finite
 _CLAMP = 1e-12
+_CLAMP_HI = 1.0 - _CLAMP
 
 # below 0, logits closer to 0 than this are classified by evaluating the
 # sigmoid; further out their sign alone decides (see is_positive)
@@ -35,8 +36,11 @@ class ModelParams:
     bias: float
 
     def __post_init__(self):
-        # a private copy: the caller's array could be made writeable again
-        w = np.array(self.weights, dtype=np.float64)
+        # a private copy: the caller's array could be made writeable again.
+        # Adding 0.0 makes that copy and stores a -0.0 weight as +0.0 (every
+        # other value is unchanged), so no model holds a -0.0 weight; see
+        # client_update for why that matters
+        w = np.add(self.weights, 0.0, dtype=np.float64)
         if w.ndim != 1:
             raise ShapeError(f"weights must be 1-d, got shape {w.shape}")
         b = float(self.bias)
@@ -116,7 +120,7 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _check_dim(params: ModelParams, dataset: TabularDataset) -> None:
-    if params.dim != dataset.dim:
+    if params.weights.shape[0] != dataset.features.shape[1]:
         raise ShapeError(f"model expects {params.dim} features, dataset has {dataset.dim}")
 
 
@@ -128,12 +132,16 @@ def _checked(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return _checked(params, features) @ params.weights + params.bias
+    # X @ w + b: X.dot(w) is the same gemv with less dispatch, and the bias
+    # is added in place
+    z = _checked(params, features).dot(params.weights)
+    z += params.bias
+    return z
 
 
 def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
     # sigmoid(X @ w + b), written over the logits, for an X already checked
-    z = X @ params.weights
+    z = X.dot(params.weights)
     z += params.bias
     return _sigmoid(z, out=z)
 
@@ -193,28 +201,35 @@ def classify(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 def loss(params: ModelParams, dataset: TabularDataset) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
-    if dataset.n == 0:
+    n = dataset.n
+    if n == 0:
         raise EmptyDatasetError("loss needs at least one row")
     _check_dim(params, dataset)
     p = np.maximum(_dataset_proba(params, dataset), _CLAMP)
-    np.minimum(p, 1.0 - _CLAMP, out=p)
-    # one log per row: the clamp keeps log(p) and log(1 - p) finite and
-    # nonzero, so y log(p) + (1 - y) log(1 - p) is exactly the log taken here
-    terms = np.log(np.where(dataset.labels == 1, p, 1.0 - p))
+    np.minimum(p, _CLAMP_HI, out=p)
+    # one log per row, of p or 1 - p by label (the 0/1 labels select as
+    # they are), taken in place: the clamp keeps log(p) and log(1 - p) finite
+    # and nonzero, so y log(p) + (1 - y) log(1 - p) is exactly this log
+    terms = np.where(dataset.labels, p, 1.0 - p)
+    np.log(terms, out=terms)
     # summation order fixed by value so row permutations cannot move the result
     terms.sort()
-    return float(-(np.add.reduce(terms) / dataset.n))  # -np.mean, without its dispatch
+    # -np.mean without its dispatch; a Python float divides as float64 does
+    return -(float(np.add.reduce(terms)) / n)
 
 
 def gradient(params: ModelParams, dataset: TabularDataset):
     """Analytic loss gradient: (mean (p - y) x, mean (p - y))."""
-    if dataset.n == 0:
+    n = dataset.n
+    if n == 0:
         raise EmptyDatasetError("gradient needs at least one row")
     _check_dim(params, dataset)
     err = _dataset_proba(params, dataset) - dataset.labels
+    # features.T @ err, not err.dot(features): on a one-row shard the dot
+    # returns -0.0 where this gemv returns +0.0
     grad_w = dataset.features.T @ err
-    grad_w /= dataset.n
-    grad_b = float(np.add.reduce(err) / dataset.n)  # err.mean()
+    grad_w /= n
+    grad_b = float(np.add.reduce(err)) / n  # err.mean()
     return grad_w, grad_b
 
 
@@ -248,8 +263,11 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
             z += b
             err = _sigmoid(z, out=z)
             err -= y[start : start + size]
-            # in place, in the order of w -= lr * (xb.T @ err) / m; err.dot(xb)
-            # is the same gemv as xb.T @ err
+            # in place, in the order of w -= lr * (xb.T @ err) / m.  err.dot(xb)
+            # is xb.T @ err with less dispatch, up to the sign of a zero: on a
+            # one-row batch it gives -0.0 where the gemv gives +0.0.  w - g
+            # then differs only where w is -0.0, and w never is: ModelParams
+            # stores -0.0 as +0.0, and w - g is -0.0 only if w already was
             g = err.dot(xb)
             g *= lr
             g /= m

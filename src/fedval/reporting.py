@@ -108,19 +108,14 @@ def round_report(round_index: int, params, validation, clients, info) -> RoundRe
         composite = dict(zip(info.scores.client_ids, info.scores.composite))
     if info.rank is not None:
         rs = info.rank.rs
-    records = tuple(
-        ClientRoundRecord(
-            client_id=c.client_id,
-            behavior=c.behavior,
-            n=c.n,
-            local_loss=info.losses[c.client_id],
-            scores=scores.get(c.client_id),
-            composite=composite.get(c.client_id),
-            p=p[c.client_id],
-            rs=rs.get(c.client_id),
-        )
-        for c in sorted(clients, key=lambda c: c.client_id)
-    )
+    losses, records = info.losses, []
+    for c in sorted(clients, key=lambda c: c.client_id):
+        cid = c.client_id
+        # positional arguments: a frozen dataclass binds keywords at a higher cost
+        records.append(ClientRoundRecord(
+            cid, c.behavior, c.n, losses[cid], scores.get(cid), composite.get(cid), p[cid], rs.get(cid)
+        ))
+    records = tuple(records)
     rs_spread = None
     if info.rank is not None:
         masses = [rs.get(c.client_id, 0.0) for c in records]
@@ -161,6 +156,7 @@ def _texts(value):
 
 
 _NO_SCORES = ("",) * len(OBJECTIVE_KINDS)
+_NULL = _texts(None)
 
 
 def _scores_texts(scores):
@@ -172,6 +168,10 @@ def _scores_texts(scores):
         text, cells[kind] = _texts(value)
         parts.append(f"{encode_basestring_ascii(kind)}: {text}")
     return "{" + ", ".join(parts) + "}", tuple(cells.get(kind, "") for kind in OBJECTIVE_KINDS)
+
+
+# the global row's blank cells: client fields, scores, composite and p
+_GLOBAL_BLANKS = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)
 
 
 def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
@@ -190,26 +190,26 @@ def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
     for c in report.clients:
         client_id, client_cell = _texts(c.client_id)
         n, n_cell = _texts(c.n)
+        local_loss, loss_cell = _texts(c.local_loss)
+        p, p_cell = _texts(c.p)
+        # scores, composite and rs are fedval's alone: a check skips the call
         scores, score_cells = _scores_texts(c.scores)
-        composite = _texts(c.composite)
-        p = _texts(c.p)
-        rs = _texts(c.rs)
-        local_loss = _texts(c.local_loss)
+        composite, composite_cell = _NULL if c.composite is None else _texts(c.composite)
+        rs, rs_cell = _NULL if c.rs is None else _texts(c.rs)
         objects.append(
             f'{{"client_id": {client_id}, "behavior": {_texts(c.behavior)[0]}, "n": {n}, '
-            f'"local_loss": {local_loss[0]}, "scores": {scores}, "composite": {composite[0]}, '
-            f'"p": {p[0]}, "rs": {rs[0]}}}'
+            f'"local_loss": {local_loss}, "scores": {scores}, "composite": {composite}, '
+            f'"p": {p}, "rs": {rs}}}'
         )
         rows.append([
             round_cell, "client", client_cell, c.behavior, n_cell, *score_cells,
-            composite[1], p[1], rs[1], local_loss[1], "", "", "",
+            composite_cell, p_cell, rs_cell, loss_cell, "", "", "",
         ])
     rs_spread = _texts(report.rs_spread)
     acc = _texts(report.global_accuracy)
     spd = _texts(report.global_spd)
     eod = _texts(report.global_eod)
-    blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
-    rows.append([round_cell, "global", *blanks, rs_spread[1], "", acc[1], spd[1], eod[1]])
+    rows.append([round_cell, "global", *_GLOBAL_BLANKS, rs_spread[1], "", acc[1], spd[1], eod[1]])
     line = (
         f'{{"round": {round_text}, "global": {{"accuracy": {acc[0]}, "spd": {spd[0]}, '
         f'"eod": {eod[0]}}}, "rs_spread": {rs_spread[0]}, "clients": [{", ".join(objects)}]}}\n'

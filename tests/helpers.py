@@ -1,9 +1,16 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from fedval.data import GROUP_A, GROUP_D, TabularDataset
-from fedval.errors import MissingGroupError, MissingPositivesError
+from fedval.errors import (
+    MissingGroupError,
+    MissingPositivesError,
+    NumericOverflowError,
+    ShapeError,
+)
 from fedval.metrics import OBJECTIVE_KINDS
 from fedval.model import _CLAMP, ModelParams, classify
 
@@ -220,3 +227,49 @@ def reference_csv_rows(report):
     blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
     rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# references for AFL's server step
+# ---------------------------------------------------------------------------
+
+
+def reference_project_simplex(v):
+    """Simplex projection in numpy array operations: a descending sort, its
+    cumsum, and the last index that passes, found with nonzero."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ShapeError(f"simplex projection needs a non-empty vector, got shape {v.shape}")
+    u = np.sort(v)[::-1]
+    with np.errstate(over="ignore"):
+        css = np.cumsum(u)
+    if not math.isfinite(css[-1]):
+        raise NumericOverflowError(f"simplex projection: the entries sum to {css[-1]}")
+    positions = np.arange(1, v.size + 1)
+    rho = np.nonzero(u + (1.0 - css) / positions > 0)[0][-1]  # IndexError if none passes
+    theta = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(v + theta, 0.0)
+
+
+def reference_afl_step(global_params, state, lr, grads, losses):
+    """AFL's server step on the flat parameter vector [w, b].
+
+    `grads` maps each client id to its (gw, gb) and `losses` to its loss,
+    both at `global_params`.  Returns the new global model, the next
+    mixture and the mixture the step used, in ascending client id.
+    """
+    lam = dict(zip(state.client_ids, state.lam))
+    ids = sorted(grads)
+    flat = np.concatenate([global_params.weights, [global_params.bias]])
+    mixed = np.zeros(flat.size)
+    for cid in ids:
+        gw, gb = grads[cid]
+        mixed[:-1] += lam[cid] * gw
+        mixed[-1] += lam[cid] * gb
+    vec = flat - lr * mixed
+    ascended = np.array([lam[cid] + state.lr_lambda * losses[cid] for cid in ids])
+    return (
+        ModelParams(vec[:-1], float(vec[-1])),
+        reference_project_simplex(ascended),
+        np.array([lam[cid] for cid in ids]),
+    )

@@ -1,8 +1,12 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedval.baselines
 from fedval.baselines import (
     AFLState,
     QConfig,
@@ -16,7 +20,7 @@ from fedval.baselines import (
 from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
 from fedval.errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
-from helpers import coverage_dataset, random_params
+from helpers import coverage_dataset, random_params, reference_afl_step, reference_project_simplex
 
 
 def _flat(params):
@@ -98,6 +102,39 @@ def test_project_simplex_properties(values):
     d_proj = np.sum((p - v) ** 2)
     for c in candidates:
         assert d_proj <= np.sum((c - v) ** 2) + 1e-9
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# finite entries with signed zeros, ties and magnitudes at which 1 - c loses the 1
+_ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.5, 1e-300, 1e17, -1e17, 1e308)),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_ENTRIES, min_size=1, max_size=12))
+@example(values=[1e17])  # 1 - 1e17 rounds to -1e17: no index passes
+@example(values=[1e308, 1e308])  # the sum overflows
+@example(values=[0.0, -0.0, 0.0])
+def test_project_simplex_equals_the_array_reference(values):
+    # exactness bound: none.  The Python-float sums and scan must give the
+    # reference's float64 bits, and its errors; where the reference finds no
+    # passing index (an IndexError), the projection reports the magnitude
+    try:
+        want = reference_project_simplex(values)
+    except NumericOverflowError as exc:
+        with pytest.raises(NumericOverflowError, match=re.escape(str(exc))):
+            project_simplex(values)
+        return
+    except IndexError:
+        with pytest.raises(NumericOverflowError, match="too large to shift by 1"):
+            project_simplex(values)
+        return
+    assert _bits(project_simplex(values)) == _bits(want)
 
 
 def test_project_simplex_shift_invariance():
@@ -366,3 +403,70 @@ def test_afl_equals_fedavg_on_identical_clients():
         assert np.max(np.abs(_flat(next_afl) - _flat(next_avg))) <= 1e-12
         assert info.weights.p == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
         start = next_afl
+
+
+_GRAD_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _afl_cases(draw):
+    k = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, 50), min_size=k, max_size=k, unique=True))
+    raw = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 3.0)) | st.floats(1e-3, 10.0), min_size=k, max_size=k))
+    total = sum(raw)
+    lam = [v / total for v in raw] if total > 0 else [1.0 / k] * k
+    grads = {
+        cid: (
+            np.array(draw(st.lists(_GRAD_ENTRIES, min_size=dim, max_size=dim))),
+            draw(_GRAD_ENTRIES),
+        )
+        for cid in ids
+    }
+    losses = {cid: draw(st.floats(0.0, 30.0)) for cid in ids}
+    start = ModelParams(
+        np.array(draw(st.lists(_GRAD_ENTRIES, min_size=dim, max_size=dim))), draw(_GRAD_ENTRIES)
+    )
+    return dict(
+        ids=ids, lam=lam, grads=grads, losses=losses, start=start,
+        lr=draw(st.floats(1e-3, 10.0)), lr_lambda=draw(st.floats(1e-3, 10.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_afl_cases())
+def test_afl_round_step_equals_the_flat_reference(case):
+    # exactness bound: none.  The step on (d,) weights plus a float bias, and
+    # the Python-float simplex projection, must give the flat-vector
+    # reference's new model, next mixture and weights bit for bit, zeros and
+    # -0.0 gradient entries included.  gradient and loss are replaced by the
+    # drawn values, looked up by shard.
+    dim = case["start"].dim
+    clients = [
+        ClientProfile(cid, "cooperative", TabularDataset(np.zeros((1, dim)), [0], [0]))
+        for cid in case["ids"]
+    ]
+    by_data = {id(c.data): c.client_id for c in clients}
+    state = AFLState(case["ids"], case["lam"], case["lr_lambda"])
+
+    def fake_gradient(params, data):
+        gw, gb = case["grads"][by_data[id(data)]]
+        return gw.copy(), gb
+
+    def fake_loss(params, data):
+        return case["losses"][by_data[id(data)]]
+
+    with mock.patch.object(fedval.baselines, "gradient", fake_gradient), \
+            mock.patch.object(fedval.baselines, "loss", fake_loss):
+        new_global, new_state, info = afl_round(
+            case["start"], clients, state, TrainConfig(lr=case["lr"])
+        )
+    want_global, want_lam, want_weights = reference_afl_step(
+        case["start"], state, case["lr"], case["grads"], case["losses"]
+    )
+    assert _bits(new_global.weights) == _bits(want_global.weights)
+    assert _bits([new_global.bias]) == _bits([want_global.bias])
+    assert new_state.client_ids == tuple(sorted(case["ids"]))
+    assert _bits(new_state.lam) == _bits(want_lam)
+    assert _bits(list(info.extras["lambda_next"].values())) == _bits(want_lam)
+    assert _bits(info.weights.p) == _bits(want_weights)

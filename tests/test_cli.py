@@ -203,6 +203,59 @@ def test_run_of_a_mutated_config_exits_cleanly(strategy, mutations):
     assert "Traceback" not in err.getvalue()
 
 
+# a sweep of two one-round cells that every mutation below keeps small
+def _fuzz_sweep():
+    base = _fuzz_base("fedval")
+    base.update(rounds=1, out_dir="sweep")
+    return {
+        "base": base,
+        "cooperative_counts": [0, 3],
+        "variants": [{"name": "rank", "ranking_enabled": True}],
+        "replicate_seeds": [5],
+    }
+
+
+_WHOLE_SPEC = ()  # a mutation at this path replaces the whole spec
+_SWEEP_PATHS = (_WHOLE_SPEC, *_paths(_fuzz_sweep()))
+_SWEEP_COST_PATHS = {("base", *path) for path in _COST_PATHS}
+
+
+@st.composite
+def _sweep_mutations(draw):
+    path = draw(st.sampled_from(_SWEEP_PATHS))
+    huge = () if path in _SWEEP_COST_PATHS else _HUGE
+    return path, draw(st.sampled_from((_DELETE, *_WRONG_TYPES, *_NEGATIVE, *huge)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=st.lists(_sweep_mutations(), min_size=1, max_size=3))
+@example(mutations=[(("replicate_seeds", 0), "x")])
+@example(mutations=[(_WHOLE_SPEC, 1.5)])
+def test_sweep_of_a_mutated_spec_exits_cleanly(mutations):
+    # as for `fedval run`: a malformed sweep spec is a config (2) or runtime
+    # (3) error, never a traceback
+    raw = _fuzz_sweep()
+    for path, value in mutations:
+        if path == _WHOLE_SPEC:
+            raw = value
+        elif isinstance(raw, dict):
+            _mutate(raw, path, value)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative out_dir values land here
+        try:
+            Path("sweep.json").write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # see the run fuzz above
+                    code = main(["sweep", "sweep.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ def test_params_weights_are_readonly():
         p.weights[0] = 1.0
 
 
+def test_params_store_a_negative_zero_weight_as_positive_zero():
+    p = ModelParams(np.array([-0.0, 0.0, -1.5]), -0.0)
+    assert p.weights.view(np.int64).tolist() == np.array([0.0, 0.0, -1.5]).view(np.int64).tolist()
+    assert math.copysign(1.0, p.bias) == -1.0  # the bias is kept as given
+
+
 def test_params_keep_a_private_copy_of_the_weights():
     # the caller still owns its array and may make it writeable again
     w = np.zeros(3)
@@ -343,6 +349,27 @@ def test_client_update_equals_the_per_batch_reference(seed, n, dim, batch, epoch
     assert np.array_equal(got.weights, want.weights)
     assert got.bias == want.bias
 
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), bias=st.floats(-3.0, 3.0), lr=st.floats(1e-3, 5.0))
+@example(seed=0, bias=0.0, lr=0.1)
+def test_client_update_from_a_negative_zero_weight_equals_the_reference(seed, bias, lr):
+    # exactness bound: none, down to the sign of a zero.  On an all-zero
+    # feature column every step's gradient entry is a zero, and the last
+    # batch of one row (n = 33, batch 32) makes err.dot(xb) return -0.0
+    # where the reference's xb.T @ err returns +0.0.  Started from a -0.0
+    # weight the two steps would end at +0.0 and -0.0; ModelParams stores
+    # the weight as +0.0, so both start and end there.
+    rng = np.random.default_rng(seed)
+    ds = TabularDataset(np.zeros((33, 1)), rng.integers(0, 2, 33), rng.integers(0, 2, 33))
+    start = ModelParams(np.array([-0.0]), bias)
+    cfg = TrainConfig(epochs=2, batch_size=32, lr=lr, seed=seed)
+    got = client_update(start, ds, cfg)
+    want = reference_client_update(start, ds, cfg)
+    assert got.weights.view(np.int64).tolist() == want.weights.view(np.int64).tolist()
+    assert np.float64(got.bias).view(np.int64) == np.float64(want.bias).view(np.int64)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
@@ -354,12 +381,17 @@ def test_client_update_equals_the_per_batch_reference(seed, n, dim, batch, epoch
 )
 @example(seed=4, n=1, dim=1, scale=1.0, labels=1, tie_row=True)
 @example(seed=5, n=300, dim=12, scale=1e2, labels=0, tie_row=False)  # every row clamped
+# one row at p == 1 and a negative feature: err is 0.0, and err.dot(features)
+# or features.T.dot(err) would return -0.0 where the reference's gemv gives +0.0
+@example(seed=92, n=1, dim=1, scale=19.0, labels=1, tie_row=False)
 def test_proba_loss_and_gradient_equal_the_plain_reference(seed, n, dim, scale, labels, tie_row):
     # exactness bound: none.  The one-pass in-place probabilities, loss and
-    # gradient must reproduce the plain formulas' float64 bits.
+    # gradient must reproduce the plain formulas' float64 bits, and classify
+    # the plain probabilities' threshold.
     params, ds = random_case(seed, n, dim, scale, labels=labels, tie_row=tie_row)
     got_p, want_p = predict_proba(params, ds.features), reference_proba(params, ds.features)
     assert np.array_equal(got_p.view(np.int64), want_p.view(np.int64))
+    assert np.array_equal(classify(params, ds.features), (want_p >= 0.5).astype(np.int64))
     assert np.float64(loss(params, ds)).view(np.int64) == np.float64(reference_loss(params, ds)).view(np.int64)
     got_w, got_b = gradient(params, ds)
     want_w, want_b = reference_gradient(params, ds)
