@@ -1,15 +1,28 @@
 #!/usr/bin/env python3
-"""Compare two fedval checkouts on one benchmark workload, in alternating pairs.
+"""Compare two fedval checkouts on benchmark workloads, in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload afl-k10 --pairs 10 --seconds 30
 
-Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
+Pair i runs `perfbench/run.py --workload W --seed N+i --seconds S --trace 0`
 in each checkout, one run at a time: the parent first in even pairs (the
 first pair included), the change first in odd ones, so neither side always
-runs on the host's later level.  For every end-to-end metric the script
-prints each side's median with its quartiles over the pairs, the relative
-change of the medians and the number of pairs the change won (ties count
-for neither side).  Which direction is better is read from BENCHMARK.json
+runs on the host's later level.  `--workload all` runs every workload of
+BENCHMARK.json in turn; N is `--first-seed`, 0 by default.  For
+every end-to-end metric the script prints each side's median with its
+quartiles over the pairs, the relative change of the medians, the number
+of pairs the change won (ties count for neither side) and a verdict:
+
+  gain        the change won at least 9/10 of the pairs, and its median is
+              better than the parent's by more than the parent's
+              interquartile range
+  worse       the change's median is worse than the parent's by more than
+              the metric's bound in BENCHMARK.json
+  unresolved  neither, and either side's interquartile range, relative to
+              its median, is wider than the bound, while not every run of
+              the change reads better than every run of the parent
+  no change   otherwise
+
+Which direction is better, and each bound, are read from BENCHMARK.json
 beside this script.
 
 Nothing is written but what perfbench itself writes: its work directory
@@ -61,30 +74,37 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return statistics.median(values), q1, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """The verdict on one metric from its (parent, change) value per pair; see the module doc."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: the change is better
+    parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+    pm, pq1, pq3 = spread(parent)
+    cm, cq1, cq3 = spread(change)
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    if 10 * wins >= 9 * len(pairs) and sign * (pm - cm) > pq3 - pq1:
+        return "gain"
+    if pm and sign * (cm - pm) / abs(pm) > bound:
+        return "worse"
+    wide = any(m and (q3 - q1) / abs(m) > bound for m, q1, q3 in ((pm, pq1, pq3), (cm, cq1, cq3)))
+    all_better = min(sign * p for p in parent) > max(sign * c for c in change)
+    return "unresolved" if wide and not all_better else "no change"
 
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+def compare(sides: dict, workload: str, seeds: range, seconds: float, metrics: list[dict]) -> int:
+    """Run the pairs of one workload and print its table; returns the number of failed runs."""
     results = {"parent": [], "change": []}  # per pair: the metrics dict, or None for a failed run
-    for seed in range(args.pairs):
-        order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            last = run_once(sides[side], args.workload, seed, args.seconds)
+            last = run_once(sides[side], workload, seed, seconds)
             results[side].append(None if last is None else last["metrics"])
-            print(f"pair {seed}: {side} {'done' if last else 'FAILED'}", file=sys.stderr)
+            print(f"{workload} pair {seed}: {side} {'done' if last else 'FAILED'}", file=sys.stderr)
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds 0-{args.pairs - 1}")
-    print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} {'change':>8s} {'wins':>6s}")
-    for name, direction in better.items():
+    print(f"{workload}: {len(seeds)} pairs of {seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}")
+    print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
+          f"{'change':>8s} {'wins':>6s}  verdict")
+    for metric in metrics:
+        name, direction = metric["name"], metric["better"]
         pairs = [(p[name]["value"], c[name]["value"])
                  for p, c in zip(results["parent"], results["change"])
                  if p is not None and c is not None and name in p and name in c]
@@ -97,9 +117,31 @@ def main(argv=None) -> int:
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
         rel = f"{(cm / pm - 1) * 100:+.1f}%" if pm else "n/a"
         print(f"{name:24s} {f'{pm:.4g} [{pq1:.4g}, {pq3:.4g}]':34s} "
-              f"{f'{cm:.4g} [{cq1:.4g}, {cq3:.4g}]':34s} {rel:>8s} {f'{wins}/{len(pairs)}':>6s}")
+              f"{f'{cm:.4g} [{cq1:.4g}, {cq3:.4g}]':34s} {rel:>8s} {f'{wins}/{len(pairs)}':>6s}  "
+              f"{verdict(pairs, direction, metric['bound'])}")
+    return sum(r is None for side in results.values() for r in side)
 
-    failed = sum(r is None for side in results.values() for r in side)
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="a workload name, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0, help="the seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]] if args.workload == "all" else [args.workload]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    failed = 0
+    for workload in workloads:
+        failed += compare(sides, workload, seeds, args.seconds, benchmark["end_to_end"])
+        sys.stdout.flush()
     if failed:
         print(f"{failed} run(s) not correct", file=sys.stderr)
     return 1 if failed else 0

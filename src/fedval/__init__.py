@@ -47,52 +47,8 @@ from .server import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFLState",
-    "AggregationWeights",
-    "ClientProfile",
-    "ClientSpec",
-    "DatasetSchema",
-    "ExperimentConfig",
-    "ModelParams",
-    "ObjectiveSpec",
-    "QConfig",
-    "RankState",
-    "RankingConfig",
-    "RoundReport",
-    "ScoreVector",
-    "SkewSpec",
-    "SweepSpec",
-    "SweepVariant",
-    "TabularDataset",
-    "TrainConfig",
-    "accuracy",
-    "afl_round",
-    "aggregate",
-    "client_update",
-    "composite_score",
-    "eod",
-    "fedavg_round",
-    "fedval_round",
-    "generate_synthetic",
-    "gradient",
-    "load_csv",
-    "loss",
-    "make_weights",
-    "partition",
-    "predict_proba",
-    "preset",
-    "preset_names",
-    "project_simplex",
-    "qfedavg_round",
-    "qfedsgd_round",
-    "rank_update",
-    "read_jsonl",
-    "run_experiment",
-    "run_sweep",
-    "score_clients",
-    "skew",
-    "spd",
-    "split_validation",
-    "temp_aggregate",
-]
+# the public names imported above: the one list of the package's API
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("fedval.")
+)

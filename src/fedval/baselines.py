@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import ClientProfile
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
-from .model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
+from .model import ModelParams, TrainConfig, gradient, loss, train_client
 from .server import AggregationWeights, RoundInfo, aggregate
 
 
@@ -120,7 +120,7 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
     ordered = _ordered(clients)
     models, losses = [], {}
     for c in ordered:
-        m = client_update(global_params, c.data, client_cfg(train_cfg, c.client_id))
+        m = train_client(global_params, c, train_cfg)
         models.append(m)
         losses[c.client_id] = loss(m, c.data)
     total = sum(c.n for c in ordered)
@@ -212,7 +212,7 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     global_flat = _flat(global_params)
     deltas, hs, losses, extras = [], [], {}, {}
     for c in ordered:
-        local = client_update(global_params, c.data, client_cfg(train_cfg, c.client_id))
+        local = train_client(global_params, c, train_cfg)
         f = loss(global_params, c.data)
         dw = qcfg.lipschitz * (global_flat - _flat(local))
         delta, h, _ = _q_terms(f, dw, qcfg, c.client_id)

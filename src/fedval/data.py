@@ -96,6 +96,13 @@ class TabularDataset:
         return order
 
     @cached_property
+    def features_t(self) -> np.ndarray:
+        """(d, n) C-contiguous copy of `features.T`, read-only; see `metrics._block_logits`."""
+        t = np.ascontiguousarray(self.features.T)
+        t.flags.writeable = False
+        return t
+
+    @cached_property
     def cells(self) -> np.ndarray:
         """(n, 4) float64 membership of each row in the `CELLS`, read-only."""
         members = np.array(

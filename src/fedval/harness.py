@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,12 +128,7 @@ class ExperimentConfig:
             "data": {data_key: self.data.to_dict()},
             "validation_fraction": self.validation_fraction,
             "clients": [
-                {
-                    "behavior": c.behavior,
-                    "skew": None
-                    if c.skew is None
-                    else {"ratio": c.skew.ratio, "retain": c.skew.retain, "group": c.skew.group},
-                }
+                {"behavior": c.behavior, "skew": None if c.skew is None else asdict(c.skew)}
                 for c in self.clients
             ],
             "objectives": None
@@ -144,18 +139,9 @@ class ExperimentConfig:
                 "batch_size": self.train.batch_size,
                 "lr": self.train.lr,
             },
-            "ranking": {
-                "enabled": self.ranking.enabled,
-                "initial_step": self.ranking.initial_step,
-                "step_size": self.ranking.step_size,
-            },
+            "ranking": asdict(self.ranking),
             "temp_alpha": self.temp_alpha,
-            "qfed": None
-            if self.qfed is None
-            else {
-                "q": self.qfed.q,
-                "lipschitz": self.qfed.lipschitz,
-            },
+            "qfed": None if self.qfed is None else asdict(self.qfed),
             "afl": {"lambda_lr": self.afl_lambda_lr},
             "note": self.note,
         }
@@ -283,6 +269,15 @@ def _build_dataset(cfg: ExperimentConfig):
     return load_csv(cfg.data.path, cfg.data.schema)
 
 
+def _make_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL byte in the path; an OSError stays a runtime error
+        raise ConfigError(f"cannot use {str(out)!r} as a directory: {exc}") from None
+    return out
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Execute one experiment; returns the artifact directory.
 
@@ -290,8 +285,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     to the last completed round.  Re-running the written
     resolved_config.json reproduces the reports byte for byte.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir if out_dir is not None else cfg.out_dir)
     for stale in ("rounds.jsonl", "rounds.csv"):
         (out / stale).unlink(missing_ok=True)
     with open(out / "resolved_config.json", "w", encoding="utf-8") as fh:
@@ -521,8 +515,7 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
         (c.skew for c in base.clients if c.behavior == "uncooperative" and c.skew is not None),
         SkewSpec(ratio=0.2),
     )
-    out = Path(out_dir if out_dir is not None else base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir if out_dir is not None else base.out_dir)
 
     cells = []
     for count in spec.cooperative_counts:

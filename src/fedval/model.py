@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TabularDataset
-from .errors import ConfigError, EmptyDatasetError, ShapeError
+from .errors import ConfigError, EmptyDatasetError, NumericOverflowError, ShapeError
 from .seeding import derive_seed
 
 # probabilities are clamped to this band inside the loss so that a fully
@@ -44,9 +44,11 @@ class ModelParams:
         if w.ndim != 1:
             raise ShapeError(f"weights must be 1-d, got shape {w.shape}")
         b = float(self.bias)
-        if not (np.isfinite(w).all() and math.isfinite(b)):
+        # count_nonzero and setflags: ndarray.all's and .flags' wrappers cost
+        # more than the test and the flag on a model-sized vector
+        if not (math.isfinite(b) and np.count_nonzero(np.isfinite(w)) == w.shape[0]):
             raise ShapeError("model parameters must be finite")
-        w.flags.writeable = False
+        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -273,4 +275,18 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
             g /= m
             w -= g
             b -= lr * float(np.add.reduce(err) / m)  # err.mean(), without its dispatch
-    return ModelParams(w, b)
+    try:
+        return ModelParams(w, b)
+    except ShapeError:  # its finiteness check: SGD left the float range
+        raise NumericOverflowError(f"local SGD diverged at learning rate {lr!r}") from None
+
+
+def train_client(params: ModelParams, client, cfg: TrainConfig) -> ModelParams:
+    """`client_update` from `params` on `client`'s shard, with `cfg` reseeded for it.
+
+    A diverging update raises NumericOverflowError naming the client.
+    """
+    try:
+        return client_update(params, client.data, client_cfg(cfg, client.client_id))
+    except NumericOverflowError as exc:
+        raise NumericOverflowError(f"client {client.client_id}: {exc}") from None

@@ -10,9 +10,9 @@ rank mass under FedAvg) stay null / empty.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -76,19 +76,7 @@ class RoundReport:
             global_spd=obj["global"]["spd"],
             global_eod=obj["global"]["eod"],
             rs_spread=obj.get("rs_spread"),
-            clients=tuple(
-                ClientRoundRecord(
-                    client_id=c["client_id"],
-                    behavior=c["behavior"],
-                    n=c["n"],
-                    local_loss=c["local_loss"],
-                    scores=c["scores"],
-                    composite=c["composite"],
-                    p=c["p"],
-                    rs=c["rs"],
-                )
-                for c in obj["clients"]
-            ),
+            clients=tuple(ClientRoundRecord(**c) for c in obj["clients"]),  # keys are the field names
         )
 
 
@@ -131,6 +119,14 @@ def round_report(round_index: int, params, validation, clients, info) -> RoundRe
     )
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _cell(text: str) -> str:
+    """`text` as csv's excel dialect writes a cell: quoted, quotes doubled, if it holds `,"\\r\\n`."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def _texts(value):
     """(JSON text, CSV cell) of one reported value, formatted once for both.
 
@@ -149,44 +145,43 @@ def _texts(value):
         text = int.__repr__(value)
         return text, text
     elif kind is str:
-        return encode_basestring_ascii(value), value
+        return encode_basestring_ascii(value), _cell(value)
     elif value is None:
         return "null", ""
-    return json.dumps(value), str(value)
-
-
-_NO_SCORES = ("",) * len(OBJECTIVE_KINDS)
-_NULL = _texts(None)
+    return json.dumps(value), _cell(str(value))
 
 
 def _scores_texts(scores):
-    """The JSON text of a client's `scores` and its CSV cells, one per objective."""
+    """The JSON text of a client's `scores` and its CSV cells, one per objective, joined."""
     if scores is None:
         return "null", _NO_SCORES
     parts, cells = [], {}
     for kind, value in scores.items():
         text, cells[kind] = _texts(value)
         parts.append(f"{encode_basestring_ascii(kind)}: {text}")
-    return "{" + ", ".join(parts) + "}", tuple(cells.get(kind, "") for kind in OBJECTIVE_KINDS)
+    return "{" + ", ".join(parts) + "}", ",".join([cells.get(kind, "") for kind in OBJECTIVE_KINDS])
 
 
+_NO_SCORES = "," * (len(OBJECTIVE_KINDS) - 1)
+_NULL = _texts(None)
 # the global row's blank cells: client fields, scores, composite and p
-_GLOBAL_BLANKS = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)
+_GLOBAL_BLANKS = "," * (3 + len(OBJECTIVE_KINDS) + 2)
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 
 
-def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
-    """One report's rounds.jsonl line and rounds.csv rows, in one pass.
+def _serialize(report: RoundReport) -> tuple[str, str]:
+    """One report's rounds.jsonl line and rounds.csv lines, in one pass.
 
     This is the one place the on-disk layout is written; `read_jsonl`
     reads it back.  The line is `json.dumps` of the nested report object
-    plus a newline.  The rows hold each client's fields in `CSV_COLUMNS`
-    order, then one global row; a missing value is an empty cell, any
-    other its `str`.  Every value is formatted once for both forms;
-    `tests/helpers.py` keeps the plain builders, `reference_json_obj` and
-    `reference_csv_rows`, that the bytes must match.
+    plus a newline.  The CSV lines hold each client's fields in
+    `CSV_COLUMNS` order, then one global row; a missing value is an empty
+    cell, any other its `str`.  Every value is formatted once for both
+    forms; the bytes must match `json.dumps` and `csv.writer` over the
+    plain builders in `tests/helpers.py`.
     """
     round_text, round_cell = _texts(report.round)
-    objects, rows = [], []
+    objects, lines = [], []
     for c in report.clients:
         client_id, client_cell = _texts(c.client_id)
         n, n_cell = _texts(c.n)
@@ -196,25 +191,26 @@ def _serialize(report: RoundReport) -> tuple[str, list[list[str]]]:
         scores, score_cells = _scores_texts(c.scores)
         composite, composite_cell = _NULL if c.composite is None else _texts(c.composite)
         rs, rs_cell = _NULL if c.rs is None else _texts(c.rs)
+        behavior = _texts(c.behavior)
         objects.append(
-            f'{{"client_id": {client_id}, "behavior": {_texts(c.behavior)[0]}, "n": {n}, '
+            f'{{"client_id": {client_id}, "behavior": {behavior[0]}, "n": {n}, '
             f'"local_loss": {local_loss}, "scores": {scores}, "composite": {composite}, '
             f'"p": {p}, "rs": {rs}}}'
         )
-        rows.append([
-            round_cell, "client", client_cell, c.behavior, n_cell, *score_cells,
-            composite_cell, p_cell, rs_cell, loss_cell, "", "", "",
-        ])
+        lines.append(
+            f"{round_cell},client,{client_cell},{behavior[1]},{n_cell},{score_cells},"
+            f"{composite_cell},{p_cell},{rs_cell},{loss_cell},,,\r\n"
+        )
     rs_spread = _texts(report.rs_spread)
     acc = _texts(report.global_accuracy)
     spd = _texts(report.global_spd)
     eod = _texts(report.global_eod)
-    rows.append([round_cell, "global", *_GLOBAL_BLANKS, rs_spread[1], "", acc[1], spd[1], eod[1]])
+    lines.append(f"{round_cell},global{_GLOBAL_BLANKS},{rs_spread[1]},,{acc[1]},{spd[1]},{eod[1]}\r\n")
     line = (
         f'{{"round": {round_text}, "global": {{"accuracy": {acc[0]}, "spd": {spd[0]}, '
         f'"eod": {eod[0]}}}, "rs_spread": {rs_spread[0]}, "clients": [{", ".join(objects)}]}}\n'
     )
-    return line, rows
+    return line, "".join(lines)
 
 
 class RoundWriter:
@@ -228,22 +224,21 @@ class RoundWriter:
         self.csv_path = out_dir / "rounds.csv"
         self._jsonl = open(self.jsonl_path, "a", encoding="utf-8")
         fresh = self.csv_path.stat().st_size == 0 if self.csv_path.exists() else True
-        self._csv_file = open(self.csv_path, "a", newline="", encoding="utf-8")
-        self._csv = csv.writer(self._csv_file)
+        self._csv = open(self.csv_path, "a", newline="", encoding="utf-8")
         if fresh:
-            self._csv.writerow(CSV_COLUMNS)
-            self._csv_file.flush()
+            self._csv.write(_CSV_HEADER)
+            self._csv.flush()
 
     def write(self, report: RoundReport) -> None:
         line, rows = _serialize(report)
         self._jsonl.write(line)
         self._jsonl.flush()
-        self._csv.writerows(rows)
-        self._csv_file.flush()
+        self._csv.write(rows)
+        self._csv.flush()
 
     def close(self) -> None:
         self._jsonl.close()
-        self._csv_file.close()
+        self._csv.close()
 
     def __enter__(self):
         return self

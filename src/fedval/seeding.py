@@ -11,11 +11,13 @@ import hashlib
 
 
 def derive_seed(*parts) -> int:
-    """Hash a scope tuple (ints / strings) into a 64-bit RNG seed."""
-    h = hashlib.sha256()
+    """Hash a scope tuple (ints / strings) into a 64-bit RNG seed.
+
+    The hashed bytes are each part's `repr`, UTF-8 encoded and followed by
+    a NUL byte, hashed in one buffer.
+    """
     for part in parts:
         if not isinstance(part, (int, str)):
             raise TypeError(f"seed scope parts must be int or str, got {type(part).__name__}")
-        h.update(repr(part).encode())
-        h.update(b"\x00")
-    return int.from_bytes(h.digest()[:8], "little")
+    text = "\x00".join([*map(repr, parts), ""])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")

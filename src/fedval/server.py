@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .metrics import ObjectiveSpec, ScoreVector, objective_scores, positive_counts
-from .model import ModelParams, TrainConfig, client_cfg, client_update, loss
+from .model import ModelParams, TrainConfig, loss, train_client
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,12 @@ class RankState:
     def __post_init__(self):
         rs = {int(cid): float(v) for cid, v in self.rs.items()}
         object.__setattr__(self, "rs", rs)
-        for cid, v in rs.items():
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"rank mass for client {cid} must be finite and >= 0, got {v}")
+        mass = rs.values()
+        # a finite sum of entries >= 0 has every entry finite: the loop only names the culprit
+        if not (math.isfinite(sum(mass)) and min(mass, default=0.0) >= 0):
+            for cid, v in rs.items():
+                if not 0.0 <= v < math.inf:
+                    raise ConfigError(f"rank mass for client {cid} must be finite and >= 0, got {v}")
 
     @staticmethod
     def zeros(client_ids) -> "RankState":
@@ -81,19 +84,21 @@ class AggregationWeights:
     p: tuple[float, ...]
 
     def __post_init__(self):
-        ids = tuple(int(c) for c in self.client_ids)
-        p = tuple(float(v) for v in self.p)
+        ids = tuple(map(int, self.client_ids))
+        p = tuple(map(float, self.p))
         object.__setattr__(self, "client_ids", ids)
         object.__setattr__(self, "p", p)
         if len(ids) != len(p) or not ids:
             raise ConfigError("weights must align with a non-empty client list")
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate client ids in weights: {ids}")
-        for v in p:
-            if not (math.isfinite(v) and v >= 0):
-                raise DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]")
-        if abs(sum(p) - 1.0) > 1e-12:
-            raise DegenerateWeightsError(f"aggregation weights sum to {sum(p)!r}, not 1")
+        total = sum(p)
+        if not (math.isfinite(total) and min(p) >= 0):  # as in RankState
+            for v in p:
+                if not 0.0 <= v < math.inf:
+                    raise DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]")
+        if abs(total - 1.0) > 1e-12:
+            raise DegenerateWeightsError(f"aggregation weights sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -247,10 +252,7 @@ def fedval_round(
     client's loss at its own local model.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
-    updated = [
-        (c.client_id, client_update(global_params, c.data, client_cfg(train_cfg, c.client_id)))
-        for c in ordered
-    ]
+    updated = [(c.client_id, train_client(global_params, c, train_cfg)) for c in ordered]
     scores = score_clients(global_params, updated, validation, spec, alpha)
 
     if rank_cfg.enabled:

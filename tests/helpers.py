@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from fedval.errors import (
     NumericOverflowError,
     ShapeError,
 )
-from fedval.metrics import OBJECTIVE_KINDS
-from fedval.model import _CLAMP, ModelParams, classify
+from fedval.metrics import _BLOCK, OBJECTIVE_KINDS
+from fedval.model import _CLAMP, ModelParams, classify, is_positive
 
 
 def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
@@ -273,3 +274,47 @@ def reference_afl_step(global_params, state, lr, grads, losses):
         reference_project_simplex(ascended),
         np.array([lam[cid] for cid in ids]),
     )
+
+
+# ---------------------------------------------------------------------------
+# references for the per-client bookkeeping and the scoring layout
+# ---------------------------------------------------------------------------
+
+
+def reference_derive_seed(*parts):
+    """Seed derivation that feeds sha256 one part at a time: each part's
+    repr, UTF-8 encoded, then a NUL byte."""
+    h = hashlib.sha256()
+    for part in parts:
+        if not isinstance(part, (int, str)):
+            raise TypeError(f"seed scope parts must be int or str, got {type(part).__name__}")
+        h.update(repr(part).encode())
+        h.update(b"\x00")
+    return int.from_bytes(h.digest()[:8], "little")
+
+
+def reference_model_params(weights, bias):
+    """ModelParams' copy and checks with `np.isfinite(w).all()` and the
+    `flags` attribute; returns the (weights, bias) a model stores."""
+    w = np.add(weights, 0.0, dtype=np.float64)
+    if w.ndim != 1:
+        raise ShapeError(f"weights must be 1-d, got shape {w.shape}")
+    b = float(bias)
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise ShapeError("model parameters must be finite")
+    w.flags.writeable = False
+    return w, b
+
+
+def reference_positive_counts(weights, biases, dataset):
+    """`metrics.positive_counts` with every block multiplied by the strided
+    `features.T`.  Returns the (4, K) counts, the (4,) cell sizes and the
+    list of each block's logits."""
+    counts = np.empty((len(weights), dataset.cells.shape[1]))
+    blocks = []
+    for start in range(0, len(weights), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        logits = weights[block] @ dataset.features.T + biases[block, None]
+        counts[block] = is_positive(logits) @ dataset.cells
+        blocks.append(logits)
+    return counts.T, dataset.cell_sizes, blocks

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -137,7 +138,7 @@ def _paths(obj, prefix=()):
 
 _FUZZ_PATHS = tuple(_paths(_fuzz_base("fedval")))
 _DELETE = "<delete>"
-_WRONG_TYPES = ("x", "", [], {}, None, True, [1, 2], {"a": 1}, 1.5)
+_WRONG_TYPES = ("x", "", "x\x00y", [], {}, None, True, [1, 2], {"a": 1}, 1.5)
 _NEGATIVE = (-1, -5, -0.5, -1e9, -math.inf)
 _HUGE = (2**64, 10**30, 1e308, math.inf, math.nan)
 # values that set how long a run takes never become huge, so every case
@@ -254,6 +255,43 @@ def test_sweep_of_a_mutated_spec_exits_cleanly(mutations):
             os.chdir(cwd)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
     assert "Traceback" not in err.getvalue()
+
+
+def test_run_with_a_nul_byte_in_out_dir_is_config_error(tmp_path, capsys):
+    raw = _fuzz_base("fedval")
+    raw["out_dir"] = str(tmp_path / "x\x00y")
+    config = write_json(tmp_path / "config.json", raw)
+    assert main(["run", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "null byte" in err and "Traceback" not in err
+
+
+def test_sweep_records_a_variant_with_a_nul_byte_as_a_failed_cell(tmp_path, capsys):
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    raw["variants"] = [{"name": "a\x00b", "ranking_enabled": True}, {"name": "ok", "ranking_enabled": False}]
+    spec = write_json(tmp_path / "sweep.json", raw)
+    assert main(["sweep", str(spec)]) == EXIT_OK
+    with open(tmp_path / "sweep" / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ok = {row["variant"]: int(row["replicates_ok"]) for row in rows if row["cooperative_count"] == "0"}
+    assert ok == {"a\x00b": 0, "ok": 1}
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+        "coop000_ok_seed5", "coop003_ok_seed5", "summary.csv"
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg", "qfedavg"])
+def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy, tmp_path, capsys):
+    raw = _fuzz_base(strategy)
+    raw["out_dir"] = str(tmp_path / "run")
+    raw["train"]["lr"] = 1e308
+    config = write_json(tmp_path / "config.json", raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        assert main(["run", str(config)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error: client 0: local SGD diverged at learning rate 1e+308" in err
 
 
 # ---------------------------------------------------------------------------

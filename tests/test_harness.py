@@ -458,3 +458,19 @@ def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
         assert calls[metric] == rounds
     assert calls["proba"] == k * rounds
     assert calls["classify"] == rounds
+
+
+def test_package_exports_exactly_its_public_api():
+    import fedval
+
+    assert fedval.__all__ == [
+        "AFLState", "AggregationWeights", "ClientProfile", "ClientSpec", "DatasetSchema",
+        "ExperimentConfig", "ModelParams", "ObjectiveSpec", "QConfig", "RankState",
+        "RankingConfig", "RoundReport", "ScoreVector", "SkewSpec", "SweepSpec", "SweepVariant",
+        "TabularDataset", "TrainConfig", "accuracy", "afl_round", "aggregate", "client_update",
+        "composite_score", "eod", "fedavg_round", "fedval_round", "generate_synthetic",
+        "gradient", "load_csv", "loss", "make_weights", "partition", "predict_proba", "preset",
+        "preset_names", "project_simplex", "qfedavg_round", "qfedsgd_round", "rank_update",
+        "read_jsonl", "run_experiment", "run_sweep", "score_clients", "skew", "spd",
+        "split_validation", "temp_aggregate",
+    ]

@@ -13,7 +13,9 @@ from fedval.metrics import (
     accuracy,
     composite_score,
     eod,
+    _block_logits,
     objective_score,
+    positive_counts,
     spd,
 )
 from fedval.model import ModelParams, classify, gradient, loss
@@ -27,6 +29,7 @@ from helpers import (
     reference_eod,
     reference_gradient,
     reference_loss,
+    reference_positive_counts,
     reference_proba,
     reference_spd,
 )
@@ -356,3 +359,49 @@ def test_composite_score_is_linear_in_weights():
     for alpha in (0.1, 3.0, 100.0):
         scaled = ObjectiveSpec(tuple((k, alpha * w) for k, w in base))
         assert composite_score(params, ds, scaled) == pytest.approx(alpha * score, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# positive_counts' layout against the strided reference
+# ---------------------------------------------------------------------------
+
+
+def _scoring_case(seed, k, dim, n, scale):
+    rng = np.random.default_rng(seed)
+    dataset = TabularDataset(
+        rng.standard_normal((n, dim)), rng.integers(0, 2, n), rng.integers(0, 2, n)
+    )
+    return scale * rng.standard_normal((k, dim)), scale * rng.standard_normal(k), dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 13),
+    dim=st.integers(1, 24),
+    n=st.one_of(st.integers(1, 64), st.integers(65, 5000)),
+    scale=st.sampled_from((1e-3, 1.0, 1e3)),
+)
+@example(seed=0, k=100, dim=8, n=4000, scale=1.0)  # the fedval-100 preset's shape
+@example(seed=1, k=101, dim=8, n=4000, scale=1.0)  # a one-model tail block
+@example(seed=2, k=9, dim=15, n=5000, scale=1.0)
+@example(seed=3, k=5, dim=16, n=500, scale=1.0)
+def test_positive_counts_equal_the_strided_reference(seed, k, dim, n, scale):
+    # exactness bound: none.  Every block's logits, and so every count, are
+    # the bits of the product with the strided features.T, for K = 1 mod 4
+    # (a one-model tail block) and on both sides of _CONTIGUOUS_DIM
+    weights, biases, dataset = _scoring_case(seed, k, dim, n, scale)
+    want_counts, want_sizes, want_blocks = reference_positive_counts(weights, biases, dataset)
+    blocks = [logits for _, logits in _block_logits(weights, biases, dataset)]
+    assert len(blocks) == len(want_blocks)
+    for got, want in zip(blocks, want_blocks):
+        assert got.tobytes() == want.tobytes()
+    counts, sizes = positive_counts(weights, biases, dataset)
+    assert counts.tobytes() == want_counts.tobytes() and sizes.tobytes() == want_sizes.tobytes()
+
+
+def test_features_t_is_a_read_only_contiguous_transpose():
+    ds = coverage_dataset(30, 4, seed=2)
+    t = ds.features_t
+    assert t.flags.c_contiguous and not t.flags.writeable
+    assert np.array_equal(t, ds.features.T) and ds.features_t is t

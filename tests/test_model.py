@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedval.data import TabularDataset
-from fedval.errors import ConfigError, ShapeError
+from fedval.data import ClientProfile, TabularDataset
+from fedval.errors import ConfigError, NumericOverflowError, ShapeError
 from fedval.model import (
     ModelParams,
     TrainConfig,
@@ -19,6 +19,7 @@ from fedval.model import (
     is_positive,
     loss,
     predict_proba,
+    train_client,
 )
 from fedval.seeding import derive_seed
 from helpers import (
@@ -29,6 +30,7 @@ from helpers import (
     reference_client_update,
     reference_gradient,
     reference_loss,
+    reference_model_params,
     reference_proba,
     reference_sigmoid,
 )
@@ -104,6 +106,42 @@ def test_params_keep_a_private_copy_of_the_weights():
     w.flags.writeable = True
     w[0] = 1.0
     assert p.weights.tolist() == [0.0, 0.0, 0.0]
+
+
+_PARAM_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf, 1.5)),
+    st.floats(),
+)
+_WEIGHTS = st.one_of(
+    st.lists(_PARAM_FLOATS, min_size=1, max_size=9).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.floats(width=32), min_size=1, max_size=9).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=9).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.one_of(_PARAM_FLOATS, st.integers(-(10**6), 10**6)), min_size=1, max_size=9),
+    st.just(np.zeros((2, 2))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=_WEIGHTS, bias=st.one_of(_PARAM_FLOATS, st.integers(-(10**6), 10**6), st.just(np.float32(2.5))))
+@example(weights=np.array([-0.0, 1e308, -1e308]), bias=-0.0)
+@example(weights=np.array([1.0, math.nan]), bias=math.inf)
+@example(weights=[3, -0.0], bias=7)
+def test_params_equal_the_reference_checks(weights, bias):
+    # exactness bound: none.  The stored weights, bit for bit (a -0.0 weight
+    # stored as +0.0), the bias, and every error type and message equal the
+    # checks made with ndarray.all and the flags attribute
+    try:
+        want = reference_model_params(weights, bias)
+    except ShapeError as exc:
+        with pytest.raises(ShapeError) as got:
+            ModelParams(weights, bias)
+        assert str(got.value) == str(exc)
+        return
+    params = ModelParams(weights, bias)
+    assert params.weights.dtype == np.float64 and params.weights.tobytes() == want[0].tobytes()
+    assert math.copysign(1.0, params.bias) == math.copysign(1.0, want[1]) and params.bias == want[1]
+    assert not params.weights.flags.writeable
+    assert not np.shares_memory(params.weights, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +505,27 @@ def test_two_point_separable_descent_is_monotone():
         stepped = client_update(params, ds, cfg)
         assert loss(stepped, ds) < loss(params, ds)
         params = stepped
+
+
+def test_diverging_local_sgd_names_the_client_and_the_rate():
+    # the error is built from ModelParams' finiteness check on the result,
+    # so no SGD step gains a check of its own
+    client = ClientProfile(4, "cooperative", coverage_dataset(200, 3, seed=1))
+    cfg = TrainConfig(lr=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericOverflowError, match=r"^local SGD diverged at learning rate 1e\+308$"):
+            client_update(ModelParams.zeros(3), client.data, cfg)
+        with pytest.raises(NumericOverflowError) as got:
+            train_client(ModelParams.zeros(3), client, cfg)
+    assert str(got.value) == "client 4: local SGD diverged at learning rate 1e+308"
+    with pytest.raises(ShapeError, match="expects 2 features"):  # not an overflow
+        train_client(ModelParams.zeros(2), client, cfg)
+
+
+def test_train_client_is_client_update_with_the_per_client_config():
+    client = ClientProfile(3, "normal", coverage_dataset(50, 2, seed=6))
+    cfg = TrainConfig(epochs=2, batch_size=8, lr=0.3, seed=11)
+    start = random_params(2, seed=2)
+    got = train_client(start, client, cfg)
+    want = client_update(start, client.data, client_cfg(cfg, 3))
+    assert got.weights.tobytes() == want.weights.tobytes() and got.bias == want.bias

@@ -225,7 +225,10 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
 _EDGE_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 1e16, 1e-5, 3.0, -7.0, 0.1,
                 math.nan, math.inf, -math.inf)
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
-_VALUES = st.one_of(st.none(), _FLOATS, _FLOATS.map(np.float64))
+# bools and lists take the fallback texts, whose CSV cell may need quoting ("[1, 2]")
+_VALUES = st.one_of(
+    st.none(), _FLOATS, _FLOATS.map(np.float64), st.booleans(), st.lists(st.integers(0, 9), max_size=3)
+)
 _TEXT = st.one_of(
     st.sampled_from(BEHAVIORS),
     st.sampled_from(('a,b', 'say "hi"', "line\nbreak", "cr\r", "tab\t", "back\\slash",

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedval.data import (
@@ -95,6 +97,49 @@ def test_aggregation_weights_must_be_a_simplex():
         AggregationWeights((0, 0), (0.5, 0.5))
     with pytest.raises(ConfigError):
         AggregationWeights((), ())
+
+
+_ENTRIES = st.lists(
+    st.one_of(
+        st.sampled_from((0.0, -0.0, 0.5, 1e308, -1e-300, math.nan, math.inf, -math.inf)),
+        st.floats(0.0, 10.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _check(build, error, message):
+    if message is None:
+        build()
+        return
+    with pytest.raises(error) as got:
+        build()
+    assert type(got.value) is error and str(got.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_ENTRIES)
+@example(values=[1e308, 1e308])  # finite entries whose sum overflows
+@example(values=[0.25, 0.75])
+@example(values=[0.5, math.nan, -1.0])
+def test_validation_names_the_first_invalid_entry(values):
+    # ScoreVector, RankState and AggregationWeights accept every finite entry
+    # >= 0 and otherwise name the first entry that is not, as a per-entry
+    # loop does; the weights must also sum to 1 within 1e-12
+    bad = next(((i, v) for i, v in enumerate(values) if not (math.isfinite(v) and v >= 0)), None)
+    ids = tuple(range(len(values)))
+    _check(lambda: ScoreVector(ids, tuple(values), tuple({} for _ in ids)), ConfigError,
+           None if bad is None else f"composite scores must be finite and >= 0, got {bad[1]}")
+    _check(lambda: RankState(dict(zip(ids, values))), ConfigError,
+           None if bad is None else f"rank mass for client {bad[0]} must be finite and >= 0, got {bad[1]}")
+    if bad is not None:
+        message = f"aggregation weight {bad[1]} outside [0, 1]"
+    elif abs(sum(values) - 1.0) > 1e-12:
+        message = f"aggregation weights sum to {sum(values)!r}, not 1"
+    else:
+        message = None
+    _check(lambda: AggregationWeights(ids, tuple(values)), DegenerateWeightsError, message)
 
 
 # ---------------------------------------------------------------------------
