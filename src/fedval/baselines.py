@@ -243,14 +243,21 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
     mixed_w = np.zeros(global_params.dim)
     mixed_b = 0.0
     losses = {}
-    for c in ordered:
-        gw, gb = gradient(global_params, c.data)
-        weight = lam[c.client_id]
-        mixed_w += weight * gw
-        mixed_b += weight * gb
-        losses[c.client_id] = loss(global_params, c.data)
     lr = train_cfg.lr
-    new_global = ModelParams(global_params.weights - lr * mixed_w, global_params.bias - lr * mixed_b)
+    try:
+        # a step too large for the float range overflows here, or in the next round's logits
+        with np.errstate(over="raise"):
+            for c in ordered:
+                gw, gb = gradient(global_params, c.data)
+                weight = lam[c.client_id]
+                mixed_w += weight * gw
+                mixed_b += weight * gb
+                losses[c.client_id] = loss(global_params, c.data)
+            new_global = ModelParams(
+                global_params.weights - lr * mixed_w, global_params.bias - lr * mixed_b
+            )
+    except FloatingPointError:
+        raise NumericOverflowError(f"AFL model step diverged at learning rate {lr!r}") from None
 
     mixture = [lam[cid] for cid in ids]
     new_lam = project_simplex(

@@ -19,12 +19,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import GROUP_A, DatasetSchema, generate_synthetic, load_csv
+from .codec import read_json
+from .data import GROUP_A, ColumnSpec, DatasetSchema, generate_synthetic, load_csv
 from .errors import ConfigError, FedValError
 from .harness import (
     ExperimentConfig,
-    SweepSpec,
     SyntheticSpec,
+    load_sweep,
     preset,
     preset_names,
     run_experiment,
@@ -38,37 +39,17 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load_json(path, what: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _cmd_run(args) -> int:
+    overrides = {"seed": args.seed, "rounds": args.rounds, "out_dir": args.out_dir}
     cfg = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.rounds is not None:
-        cfg = replace(cfg, rounds=args.rounds)
-    if args.out_dir is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
     out = run_experiment(cfg)
     print(out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_json(args.spec, "sweep spec")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"sweep spec must be a JSON object, got {type(raw).__name__}")
-    if "base" not in raw:
-        raise ConfigError("sweep spec must embed the experiment under a 'base' key")
-    base = ExperimentConfig.from_dict(raw["base"])
-    spec = SweepSpec.from_dict(raw)
+    spec, base = load_sweep(args.spec)
     result = run_sweep(spec, base, out_dir=args.out_dir)
     print(result.summary_path)
     return EXIT_OK
@@ -85,17 +66,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    raw = _load_json(args.spec, "data spec")
-    try:
-        spec = SyntheticSpec(
-            n=int(raw["n"]),
-            dim=int(raw["dim"]),
-            positive_rates=(float(raw["positive_rates"][0]), float(raw["positive_rates"][1])),
-            seed=int(raw.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"malformed data spec: {exc!r}") from exc
-    dataset = generate_synthetic(spec.n, spec.dim, spec.positive_rates, spec.seed)
+    spec = SyntheticSpec.from_dict(read_json(args.spec, "data spec"))
+    # a spec without a seed has no master seed to derive one from
+    dataset = generate_synthetic(spec.n, spec.dim, spec.positive_rates, spec.seed or 0)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -108,11 +81,8 @@ def _cmd_gen_data(args) -> int:
                 [str(float(x)) for x in dataset.features[i]]
                 + [str(int(dataset.labels[i])), "a" if dataset.sensitive[i] == GROUP_A else "d"]
             )
-    schema = {
-        "features": [{"name": name, "kind": "numeric"} for name in feature_names],
-        "label": {"column": "label", "positive": "1"},
-        "sensitive": {"column": "group", "advantaged": "a"},
-    }
+    columns = tuple(ColumnSpec(name, "numeric") for name in feature_names)
+    schema = DatasetSchema(columns, "label", "1", "group", "a").to_dict()
     schema_path = out.with_suffix(".schema.json")
     with open(schema_path, "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2)
@@ -124,7 +94,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = ModelParams.load(args.model)
-    schema = DatasetSchema.from_dict(_load_json(args.schema, "schema"))
+    schema = DatasetSchema.from_dict(read_json(args.schema, "schema"))
     dataset = load_csv(args.data, schema)
     print(f"accuracy: {accuracy(params, dataset):.6f}")
     print(f"spd: {spd(params, dataset):.6f}")
@@ -179,10 +149,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FedValError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (FedValError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

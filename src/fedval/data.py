@@ -12,6 +12,7 @@ All randomness is drawn from explicit seeds; every function is pure.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -258,54 +259,58 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     stripped before interpretation; empty cells are hard errors.  Columns
     not mentioned by the schema are ignored.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        needed = [c.name for c in schema.features] + [schema.label, schema.sensitive]
-        for name in needed:
-            if name not in col_index:
-                raise SchemaError(f"{path}: column {name!r} not found in header")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise EmptyDatasetError(f"{path}: file is empty") from None
+    col_index = {name: i for i, name in enumerate(header)}
+    needed = [c.name for c in schema.features] + [schema.label, schema.sensitive]
+    for name in needed:
+        if name not in col_index:
+            raise SchemaError(f"{path}: column {name!r} not found in header")
 
-        rows, labels, sens = [], [], []
-        for rownum, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
-                raise RowParseError(
-                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
-                )
-            cells = [c.strip() for c in raw]
-            feats: list[float] = []
-            for spec in schema.features:
-                cell = cells[col_index[spec.name]]
-                if cell == "":
-                    raise RowParseError(f"{path}: row {rownum}: column {spec.name!r} is empty")
-                if spec.kind == "numeric":
-                    try:
-                        feats.append(float(cell))
-                    except ValueError:
-                        raise RowParseError(
-                            f"{path}: row {rownum}: column {spec.name!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-                else:
-                    if cell not in spec.categories:
-                        raise RowParseError(
-                            f"{path}: row {rownum}: column {spec.name!r}: "
-                            f"value {cell!r} not in declared categories"
-                        )
-                    feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
-            for col, store, positive in (
-                (schema.label, labels, schema.label_positive),
-                (schema.sensitive, sens, schema.sensitive_advantaged),
-            ):
-                cell = cells[col_index[col]]
-                if cell == "":
-                    raise RowParseError(f"{path}: row {rownum}: column {col!r} is empty")
-                store.append(1 if cell == positive else 0)
-            rows.append(feats)
+    rows, labels, sens = [], [], []
+    for rownum, raw in enumerate(reader, start=1):
+        if len(raw) != len(header):
+            raise RowParseError(
+                f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
+            )
+        cells = [c.strip() for c in raw]
+        feats: list[float] = []
+        for spec in schema.features:
+            cell = cells[col_index[spec.name]]
+            if cell == "":
+                raise RowParseError(f"{path}: row {rownum}: column {spec.name!r} is empty")
+            if spec.kind == "numeric":
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise RowParseError(
+                        f"{path}: row {rownum}: column {spec.name!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+            else:
+                if cell not in spec.categories:
+                    raise RowParseError(
+                        f"{path}: row {rownum}: column {spec.name!r}: "
+                        f"value {cell!r} not in declared categories"
+                    )
+                feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
+        for col, store, positive in (
+            (schema.label, labels, schema.label_positive),
+            (schema.sensitive, sens, schema.sensitive_advantaged),
+        ):
+            cell = cells[col_index[col]]
+            if cell == "":
+                raise RowParseError(f"{path}: row {rownum}: column {col!r} is empty")
+            store.append(1 if cell == positive else 0)
+        rows.append(feats)
 
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
@@ -464,8 +469,6 @@ def partition(dataset: TabularDataset, profiles, seed: int) -> list[ClientProfil
     clients = []
     start = 0
     for i, spec in enumerate(profiles):
-        if isinstance(spec, str):
-            spec = ClientSpec(behavior=spec)
         size = base + (1 if i < extra else 0)
         shard = dataset.subset(np.sort(perm[start : start + size]))
         start += size

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .baselines import (
     qfedavg_round,
     qfedsgd_round,
 )
+from .codec import BOOL, FLOAT, INT, STR, Kind, Section, list_of, malformed, read_json
 from .data import (
     ClientSpec,
     DatasetSchema,
@@ -59,13 +61,10 @@ class SyntheticSpec:
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"synthetic data seed must be >= 0, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "positive_rates": list(self.positive_rates),
-            "seed": self.seed,
-        }
+    @staticmethod
+    def from_dict(raw) -> "SyntheticSpec":
+        """A spec from its JSON object, as in a `fedval gen-data` spec file."""
+        return _SYNTHETIC.decode(raw, "data spec")
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,9 @@ class CsvSpec:
     path: str
     schema: DatasetSchema
 
-    def to_dict(self) -> dict:
-        return {"path": self.path, "schema": self.schema.to_dict()}
+    def __post_init__(self):
+        if not os.path.exists(self.path):  # False, not an error, for a path with a NUL byte
+            raise ConfigError(f"data file does not exist: {self.path}")
 
 
 @dataclass(frozen=True)
@@ -114,152 +114,75 @@ class ExperimentConfig:
             raise ConfigError(f"strategy {self.strategy!r} requires a qfed section")
         if not (self.afl_lambda_lr > 0 and math.isfinite(self.afl_lambda_lr)):
             raise ConfigError(f"afl lambda_lr must be positive, got {self.afl_lambda_lr}")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         """Fully-resolved config: feeding this back reproduces the run."""
-        data_key = "synthetic" if isinstance(self.data, SyntheticSpec) else "csv"
-        return {
-            "strategy": self.strategy,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "data": {data_key: self.data.to_dict()},
-            "validation_fraction": self.validation_fraction,
-            "clients": [
-                {"behavior": c.behavior, "skew": None if c.skew is None else asdict(c.skew)}
-                for c in self.clients
-            ],
-            "objectives": None
-            if self.objectives is None
-            else [{"kind": k, "weight": w} for k, w in self.objectives.entries],
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "lr": self.train.lr,
-            },
-            "ranking": asdict(self.ranking),
-            "temp_alpha": self.temp_alpha,
-            "qfed": None if self.qfed is None else asdict(self.qfed),
-            "afl": {"lambda_lr": self.afl_lambda_lr},
-            "note": self.note,
-        }
+        return _CONFIG.encode(self)
 
     @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {
-            "strategy", "rounds", "seed", "out_dir", "data", "validation_fraction",
-            "clients", "objectives", "train", "ranking", "temp_alpha", "qfed", "afl", "note",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            data_raw = raw["data"]
-            if "synthetic" in data_raw:
-                s = data_raw["synthetic"]
-                rates = s["positive_rates"]
-                data = SyntheticSpec(
-                    n=int(s["n"]),
-                    dim=int(s["dim"]),
-                    positive_rates=(float(rates[0]), float(rates[1])),
-                    seed=None if s.get("seed") is None else int(s["seed"]),
-                )
-            elif "csv" in data_raw:
-                c = data_raw["csv"]
-                path = c["path"]
-                if not Path(path).exists():
-                    raise ConfigError(f"data file does not exist: {path}")
-                data = CsvSpec(path=path, schema=DatasetSchema.from_dict(c["schema"]))
-            else:
-                raise ConfigError("data section must contain 'synthetic' or 'csv'")
-
-            clients = []
-            for entry in raw["clients"]:
-                if isinstance(entry, str):
-                    clients.append(ClientSpec(behavior=entry))
-                    continue
-                skew_raw = entry.get("skew")
-                skew = (
-                    None
-                    if skew_raw is None
-                    else SkewSpec(
-                        ratio=float(skew_raw["ratio"]),
-                        retain=float(skew_raw.get("retain", 1.0)),
-                        group=skew_raw.get("group", "d"),
-                    )
-                )
-                clients.append(ClientSpec(behavior=entry.get("behavior", "cooperative"), skew=skew))
-
-            objectives_raw = raw.get("objectives")
-            objectives = (
-                None
-                if objectives_raw is None
-                else ObjectiveSpec(tuple((o["kind"], float(o["weight"])) for o in objectives_raw))
-            )
-
-            train_raw = raw["train"]
-            train = TrainConfig(
-                epochs=int(train_raw.get("epochs", 1)),
-                batch_size=int(train_raw.get("batch_size", 32)),
-                lr=float(train_raw["lr"]),
-                seed=0,
-            )
-
-            ranking_raw = raw.get("ranking", {})
-            ranking = RankingConfig(
-                enabled=bool(ranking_raw.get("enabled", False)),
-                initial_step=float(ranking_raw.get("initial_step", 1.0)),
-                step_size=float(ranking_raw.get("step_size", 1.5)),
-            )
-
-            # older resolved configs also carry qfed "lr" and "rounds", which
-            # no round ever read; they load with both ignored
-            qfed_raw = raw.get("qfed")
-            qfed = (
-                None
-                if qfed_raw is None
-                else QConfig(
-                    q=float(qfed_raw["q"]),
-                    lipschitz=float(qfed_raw.get("lipschitz", 1.0)),
-                )
-            )
-
-            return ExperimentConfig(
-                strategy=raw["strategy"],
-                rounds=int(raw["rounds"]),
-                seed=int(raw["seed"]),
-                data=data,
-                clients=tuple(clients),
-                train=train,
-                validation_fraction=float(raw.get("validation_fraction", 0.2)),
-                objectives=objectives,
-                ranking=ranking,
-                temp_alpha=float(raw.get("temp_alpha", 0.5)),
-                qfed=qfed,
-                afl_lambda_lr=float(raw.get("afl", {}).get("lambda_lr", 0.1)),
-                out_dir=raw.get("out_dir", "runs/experiment"),
-                note=raw.get("note", ""),
-            )
-        except FedValError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
-            # OverflowError: int() of an infinite number
-            raise ConfigError(f"malformed config: {exc!r}") from exc
+    def from_dict(raw) -> "ExperimentConfig":
+        return _CONFIG.decode(raw, "config")
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        return ExperimentConfig.from_dict(raw)
+        return ExperimentConfig.from_dict(read_json(path, "config"))
+
+
+# The JSON form of each config section: its keys, in the order they are
+# written, and their kinds (see codec).  An absent key takes its dataclass
+# default, except train.lr, which a config must state.
+_SYNTHETIC = Section(
+    SyntheticSpec,
+    {"n": INT, "dim": INT, "positive_rates": list_of(FLOAT, length=2), "seed": INT},
+)
+_CSV = Section(CsvSpec, {"path": STR, "schema": Kind(
+    lambda value, what, path: DatasetSchema.from_dict(value), DatasetSchema.to_dict
+)})
+_SOURCES = {"synthetic": _SYNTHETIC, "csv": _CSV}
+
+
+def _decode_data(value, what, path):
+    if not (isinstance(value, dict) and len(value) == 1 and set(value) <= set(_SOURCES)):
+        raise malformed(what, path, f"must hold one of {list(_SOURCES)}, got {value!r}")
+    [(key, source)] = value.items()
+    return _SOURCES[key].decode(source, what, f"{path}.{key}")
+
+
+_OBJECTIVE = Section(None, {"kind": STR, "weight": FLOAT}, required=("kind", "weight"))
+
+
+def _decode_objectives(value, what, path) -> ObjectiveSpec:
+    entries = list_of(_OBJECTIVE).decode(value, what, path)
+    return ObjectiveSpec(tuple((entry["kind"], entry["weight"]) for entry in entries))
+
+
+_SKEW = Section(SkewSpec, {"ratio": FLOAT, "retain": FLOAT, "group": STR})
+_CLIENT = Section(ClientSpec, {"behavior": STR, "skew": _SKEW}, shorthand="behavior")
+_TRAIN = Section(TrainConfig, {"epochs": INT, "batch_size": INT, "lr": FLOAT}, required=("lr",))
+_RANKING = Section(RankingConfig, {"enabled": BOOL, "initial_step": FLOAT, "step_size": FLOAT})
+# resolved configs from before QConfig dropped its unread "lr" and "rounds"
+# still carry both; they load with both ignored
+_QFED = Section(QConfig, {"q": FLOAT, "lipschitz": FLOAT}, retired=("lr", "rounds"))
+_CONFIG = Section(ExperimentConfig, {
+    "strategy": STR,
+    "rounds": INT,
+    "seed": INT,
+    "out_dir": STR,
+    "data": Kind(_decode_data, lambda data: {
+        key: source.encode(data) for key, source in _SOURCES.items() if isinstance(data, source.cls)
+    }),
+    "validation_fraction": FLOAT,
+    "clients": list_of(_CLIENT),
+    "objectives": Kind(_decode_objectives, lambda spec: [
+        {"kind": kind, "weight": weight} for kind, weight in spec.entries
+    ]),
+    "train": _TRAIN,
+    "ranking": _RANKING,
+    "temp_alpha": FLOAT,
+    "qfed": _QFED,
+    "afl": Section(None, {"lambda_lr": FLOAT}, attrs={"lambda_lr": "afl_lambda_lr"}),
+    "note": STR,
+})
 
 
 def _build_dataset(cfg: ExperimentConfig):
@@ -350,7 +273,7 @@ def _preset_base(name, *, strategy, rounds, lr, k=10, n=4000, dim=8, **kw):
         seed=0,
         data=SyntheticSpec(n=n, dim=dim, positive_rates=(0.6, 0.3)),
         clients=tuple(ClientSpec("cooperative") for _ in range(k)),
-        train=TrainConfig(epochs=1, batch_size=32, lr=lr, seed=0),
+        train=TrainConfig(lr=lr),
         objectives=_DEFAULT_OBJECTIVES,
         out_dir=f"runs/{name}",
         **kw,
@@ -361,42 +284,22 @@ _AFL_NOTE = (
     "the source table files this run under the q-parameterized family with q=0; "
     "this preset runs the minimax procedure instead of qfedsgd with q=0"
 )
+_RANKED = RankingConfig(enabled=True, initial_step=2.0, step_size=1.5)
 
+# each preset's arguments to _preset_base besides its name
 _PRESETS = {
-    "adult-fedval-10": lambda: _preset_base(
-        "adult-fedval-10", strategy="fedval", rounds=150, lr=0.1,
-        ranking=RankingConfig(enabled=True, initial_step=2.0, step_size=1.5),
-    ),
-    "health-fedval-10": lambda: _preset_base(
-        "health-fedval-10", strategy="fedval", rounds=350, lr=0.1,
+    "adult-fedval-10": dict(strategy="fedval", rounds=150, lr=0.1, ranking=_RANKED),
+    "health-fedval-10": dict(
+        strategy="fedval", rounds=350, lr=0.1,
         ranking=RankingConfig(enabled=True, initial_step=0.001, step_size=10.0),
     ),
-    "adult-qfed": lambda: _preset_base(
-        "adult-qfed", strategy="qfedavg", rounds=1000, lr=0.01,
-        qfed=QConfig(q=5.0, lipschitz=1.0),
-    ),
-    "health-qfed": lambda: _preset_base(
-        "health-qfed", strategy="qfedavg", rounds=3000, lr=0.01,
-        qfed=QConfig(q=5.0, lipschitz=1.0),
-    ),
-    "adult-afl": lambda: _preset_base(
-        "adult-afl", strategy="afl", rounds=1000, lr=0.01,
-        afl_lambda_lr=0.1, note=_AFL_NOTE,
-    ),
-    "health-afl": lambda: _preset_base(
-        "health-afl", strategy="afl", rounds=3000, lr=0.01,
-        afl_lambda_lr=0.1, note=_AFL_NOTE,
-    ),
-    "adult-fedavg": lambda: _preset_base(
-        "adult-fedavg", strategy="fedavg", rounds=150, lr=0.1,
-    ),
-    "health-fedavg": lambda: _preset_base(
-        "health-fedavg", strategy="fedavg", rounds=350, lr=0.1,
-    ),
-    "fedval-100": lambda: _preset_base(
-        "fedval-100", strategy="fedval", rounds=150, lr=0.1, k=100, n=20000,
-        ranking=RankingConfig(enabled=True, initial_step=2.0, step_size=1.5),
-    ),
+    "adult-qfed": dict(strategy="qfedavg", rounds=1000, lr=0.01, qfed=QConfig(q=5.0)),
+    "health-qfed": dict(strategy="qfedavg", rounds=3000, lr=0.01, qfed=QConfig(q=5.0)),
+    "adult-afl": dict(strategy="afl", rounds=1000, lr=0.01, note=_AFL_NOTE),
+    "health-afl": dict(strategy="afl", rounds=3000, lr=0.01, note=_AFL_NOTE),
+    "adult-fedavg": dict(strategy="fedavg", rounds=150, lr=0.1),
+    "health-fedavg": dict(strategy="fedavg", rounds=350, lr=0.1),
+    "fedval-100": dict(strategy="fedval", rounds=150, lr=0.1, k=100, n=20000, ranking=_RANKED),
 }
 
 
@@ -407,10 +310,10 @@ def preset_names() -> tuple[str, ...]:
 def preset(name: str) -> ExperimentConfig:
     """A registered experiment configuration by name."""
     try:
-        builder = _PRESETS[name]
+        args = _PRESETS[name]
     except KeyError:
         raise UnknownPresetError(name, preset_names()) from None
-    return builder()
+    return _preset_base(name, **args)
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +350,24 @@ class SweepSpec:
             raise ConfigError(f"duplicate variant names: {names}")
 
     @staticmethod
-    def from_dict(raw: dict) -> "SweepSpec":
-        try:
-            return SweepSpec(
-                cooperative_counts=tuple(raw["cooperative_counts"]),
-                variants=tuple(
-                    SweepVariant(name=v["name"], ranking_enabled=bool(v["ranking_enabled"]))
-                    for v in raw["variants"]
-                ),
-                replicate_seeds=tuple(raw["replicate_seeds"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # ValueError, OverflowError: int() of a non-numeric string, NaN or an infinity
-            raise ConfigError(f"malformed sweep spec: {exc!r}") from exc
+    def from_dict(raw) -> "SweepSpec":
+        return _SWEEP.decode(raw, "sweep spec")
+
+
+_SWEEP = Section(SweepSpec, {
+    "cooperative_counts": list_of(INT),
+    "variants": list_of(Section(SweepVariant, {"name": STR, "ranking_enabled": BOOL})),
+    "replicate_seeds": list_of(INT),
+})
+
+
+def load_sweep(path) -> tuple[SweepSpec, ExperimentConfig]:
+    """The grid of the sweep spec file at `path`, and the experiment under its "base" key."""
+    raw = read_json(path, "sweep spec")
+    if not isinstance(raw, dict) or "base" not in raw:
+        raise ConfigError("sweep spec must be a JSON object with the experiment under a 'base' key")
+    base = ExperimentConfig.from_dict(raw.pop("base"))
+    return SweepSpec.from_dict(raw), base
 
 
 @dataclass(frozen=True)
@@ -481,21 +389,6 @@ class SweepResult:
     @property
     def summary_path(self) -> Path:
         return self.out_dir / "summary.csv"
-
-
-_SUMMARY_COLUMNS = (
-    "cooperative_count",
-    "cooperative_ratio",
-    "variant",
-    "ranking_enabled",
-    "replicates_ok",
-    "final_accuracy_mean",
-    "final_accuracy_std",
-    "final_spd_mean",
-    "final_spd_std",
-    "final_eod_mean",
-    "final_eod_std",
-)
 
 
 def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepResult:
@@ -568,10 +461,11 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
                 )
             rows.append(row)
 
+    # the columns are the keys of a row, in the order each row sets them
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow(["" if row[col] is None else str(row[col]) for col in _SUMMARY_COLUMNS])
+            writer.writerow(["" if value is None else str(value) for value in row.values()])
 
     return SweepResult(out_dir=out, cells=tuple(cells), summary_rows=tuple(rows))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import read_json
 from .data import TabularDataset
 from .errors import ConfigError, EmptyDatasetError, NumericOverflowError, ShapeError
 from .seeding import derive_seed
@@ -67,7 +68,7 @@ class ModelParams:
     def from_dict(raw: dict) -> "ModelParams":
         try:
             return ModelParams(np.asarray(raw["weights"], dtype=np.float64), float(raw["bias"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed model parameters: {exc!r}") from exc
 
     def save(self, path) -> None:
@@ -77,8 +78,7 @@ class ModelParams:
 
     @staticmethod
     def load(path) -> "ModelParams":
-        with open(path, encoding="utf-8") as fh:
-            return ModelParams.from_dict(json.load(fh))
+        return ModelParams.from_dict(read_json(path))  # a missing file stays an OSError
 
 
 @dataclass(frozen=True)

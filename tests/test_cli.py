@@ -257,6 +257,141 @@ def test_sweep_of_a_mutated_spec_exits_cleanly(mutations):
     assert "Traceback" not in err.getvalue()
 
 
+# wrong JSON kinds for each kind of typed leaf: the base configs above hold
+# every int leaf as an int, every float leaf as a float and every flag as a bool
+_WRONG_KIND = {
+    bool: ("false", 0, 1),
+    int: (True, 2.5, "3"),
+    float: (True, "0.1"),
+}
+
+
+def _typed_leaves(obj, prefix=()):
+    """(path, type) of every int, float and bool value in a config."""
+    for path in _paths(obj, prefix):
+        node = obj
+        for key in path[len(prefix):]:
+            node = node[key]
+        if type(node) in _WRONG_KIND:
+            yield path, type(node)
+
+
+def _sections(obj, prefix=()):
+    """(path, keys) of every JSON object in a config, the config itself included."""
+    if isinstance(obj, dict):
+        yield prefix, list(obj)
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _sections(value, prefix + (key,))
+
+
+def _exit_code(command, filename, raw):
+    """`fedval <command> <filename>` on `raw`, in a fresh directory: (exit code, stderr)."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path(filename).write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, filename])
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+def _spec_for(command):
+    return (_fuzz_base("fedval"), "config.json") if command == "run" else (_fuzz_sweep(), "sweep.json")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_typed_leaf_of_the_wrong_json_kind_exits_2(command):
+    # every int, float and bool leaf of a config (and, for sweep, of the
+    # spec around it), set in turn to each value of another JSON kind: each
+    # is a malformed config, where a lenient read would run with, say,
+    # `"ranking": {"enabled": "false"}` taken as ranking on
+    spec, filename = _spec_for(command)
+    wrong = []
+    for path, kind in _typed_leaves(spec):
+        for value in _WRONG_KIND[kind]:
+            raw = json.loads(json.dumps(spec))
+            _mutate(raw, path, value)
+            code, err = _exit_code(command, filename, raw)
+            if code != EXIT_CONFIG or "config error: malformed" not in err or "Traceback" in err:
+                wrong.append((path, value, code, err))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_misspelt_key_in_any_section_exits_2(command):
+    # each key of each section in turn loses its last letter ("enabled"
+    # becomes "enable"); the misspelling is rejected, not read as absent
+    spec, filename = _spec_for(command)
+    wrong = []
+    for path, keys in _sections(spec):
+        for key in keys:
+            raw = json.loads(json.dumps(spec))
+            node = raw
+            for step in path:
+                node = node[step]
+            node[key[:-1]] = node.pop(key)
+            code, err = _exit_code(command, filename, raw)
+            if code != EXIT_CONFIG or "Traceback" in err:
+                wrong.append((path, key, code, err))
+    assert wrong == []
+
+
+_MALFORMED_FILES = {
+    "5000-digit-integer": b'{"rounds": ' + b"9" * 5000 + b"}",
+    "200000-deep-array": b"[" * 200_000 + b"]" * 200_000,
+    "not-utf8": b'{"note": "caf\xe9"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FILES))
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-data", "eval-schema"])
+def test_a_malformed_json_file_is_a_config_error(tmp_path, capsys, command, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_MALFORMED_FILES[case])
+    if command == "gen-data":
+        argv = ["gen-data", str(bad), str(tmp_path / "out.csv")]
+    elif command == "eval-schema":
+        model = write_json(tmp_path / "model.json", {"weights": [0.5], "bias": 0.0})
+        argv = ["eval", str(model), str(tmp_path / "data.csv"), str(bad)]
+    else:
+        argv = [command, str(bad)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {bad} is not valid JSON" in err and "Traceback" not in err
+
+
+def _generated_csv(tmp_path):
+    spec = write_json(tmp_path / "spec.json", {"n": 40, "dim": 2, "positive_rates": [0.5, 0.5], "seed": 1})
+    out_csv = tmp_path / "synth.csv"
+    assert main(["gen-data", str(spec), str(out_csv)]) == EXIT_OK
+    return out_csv, out_csv.with_suffix(".schema.json")
+
+
+def test_eval_of_a_model_file_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    data, schema = _generated_csv(tmp_path)
+    model = tmp_path / "model.json"
+    model.write_text("weights: [0.5, 0.5]\n")
+    capsys.readouterr()
+    assert main(["eval", str(model), str(data), str(schema)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {model} is not valid JSON" in err and "Traceback" not in err
+
+
+def test_eval_of_a_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    data, schema = _generated_csv(tmp_path)
+    data.write_bytes(data.read_bytes().replace(b"label", b"lab\xe9l", 1))
+    model = write_json(tmp_path / "model.json", {"weights": [0.5, -0.25], "bias": 0.1})
+    capsys.readouterr()
+    assert main(["eval", str(model), str(data), str(schema)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"error: {data}: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_run_with_a_nul_byte_in_out_dir_is_config_error(tmp_path, capsys):
     raw = _fuzz_base("fedval")
     raw["out_dir"] = str(tmp_path / "x\x00y")
@@ -281,7 +416,7 @@ def test_sweep_records_a_variant_with_a_nul_byte_as_a_failed_cell(tmp_path, caps
     ]
 
 
-@pytest.mark.parametrize("strategy", ["fedval", "fedavg", "qfedavg"])
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg", "qfedavg", "afl"])
 def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy, tmp_path, capsys):
     raw = _fuzz_base(strategy)
     raw["out_dir"] = str(tmp_path / "run")
@@ -291,7 +426,9 @@ def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy,
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
         assert main(["run", str(config)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert "error: client 0: local SGD diverged at learning rate 1e+308" in err
+    # AFL takes one server step per round and no local SGD, so no client is named
+    expected = {"afl": "error: AFL model step diverged at learning rate 1e+308"}
+    assert expected.get(strategy, "error: client 0: local SGD diverged at learning rate 1e+308") in err
 
 
 # ---------------------------------------------------------------------------

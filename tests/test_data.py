@@ -249,6 +249,19 @@ def test_schema_dict_roundtrip(adult_schema):
     assert DatasetSchema.from_dict(adult_schema.to_dict()) == adult_schema
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"features": ["x"], "label": {"column": "y", "positive": "1"}, "sensitive": {"column": "g", "advantaged": "a"}},
+        {"features": [{"name": "x", "kind": "numeric"}], "label": "y", "sensitive": {"column": "g", "advantaged": "a"}},
+        ["features"],
+    ],
+)
+def test_malformed_schema_dict_is_a_schema_error(raw):
+    with pytest.raises(SchemaError, match="malformed schema"):
+        DatasetSchema.from_dict(raw)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.integers(-(10**7), 10**7).map(lambda k: k / 16), min_size=2, max_size=40),

@@ -87,6 +87,14 @@ def test_params_roundtrip_dict_and_file(tmp_path):
     assert np.array_equal(p.weights, r.weights) and p.bias == r.bias
 
 
+@pytest.mark.parametrize(
+    "raw", [{"weights": [1.0]}, {"weights": [1.0], "bias": 10**400}, {"weights": "ab", "bias": 0.0}, [1.0]]
+)
+def test_params_from_a_malformed_dict_is_a_config_error(raw):
+    with pytest.raises(ConfigError, match="malformed model parameters"):
+        ModelParams.from_dict(raw)
+
+
 def test_params_weights_are_readonly():
     p = ModelParams.zeros(2)
     with pytest.raises(ValueError):
