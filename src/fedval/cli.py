@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .codec import read_json
+from .codec import read_json, write_json
 from .data import GROUP_A, ColumnSpec, DatasetSchema, generate_synthetic, load_csv
 from .errors import ConfigError, FedValError
 from .harness import (
@@ -72,21 +72,17 @@ def _cmd_gen_data(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    feature_names = [f"f{j}" for j in range(dataset.dim)]
+    columns = tuple(ColumnSpec(f"f{j}", "numeric") for j in range(dataset.dim))
+    schema = DatasetSchema(columns, "label", "1", "group", "a")
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(feature_names + ["label", "group"])
-        for i in range(dataset.n):
-            writer.writerow(
-                [str(float(x)) for x in dataset.features[i]]
-                + [str(int(dataset.labels[i])), "a" if dataset.sensitive[i] == GROUP_A else "d"]
-            )
-    columns = tuple(ColumnSpec(name, "numeric") for name in feature_names)
-    schema = DatasetSchema(columns, "label", "1", "group", "a").to_dict()
+        writer.writerow([c.name for c in columns] + [schema.label, schema.sensitive])
+        writer.writerows(
+            [*map(str, x.tolist()), str(y), "a" if g == GROUP_A else "d"]
+            for x, y, g in zip(dataset.features, dataset.labels.tolist(), dataset.sensitive)
+        )
     schema_path = out.with_suffix(".schema.json")
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(schema, fh, indent=2)
-        fh.write("\n")
+    write_json(schema_path, schema.to_dict())
     print(out)
     print(schema_path)
     return EXIT_OK
@@ -96,9 +92,9 @@ def _cmd_eval(args) -> int:
     params = ModelParams.load(args.model)
     schema = DatasetSchema.from_dict(read_json(args.schema, "schema"))
     dataset = load_csv(args.data, schema)
-    print(f"accuracy: {accuracy(params, dataset):.6f}")
-    print(f"spd: {spd(params, dataset):.6f}")
-    print(f"eod: {eod(params, dataset):.6f}")
+    # all three first, so that a metric that fails leaves nothing on stdout
+    scores = accuracy(params, dataset), spd(params, dataset), eod(params, dataset)
+    print("accuracy: {:.6f}\nspd: {:.6f}\neod: {:.6f}".format(*scores))
     return EXIT_OK
 
 

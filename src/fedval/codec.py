@@ -1,12 +1,14 @@
 """The one strict codec of fedval's JSON files.
 
-A config section is a `Section`: one table of its JSON keys and their kinds
-that both reads (`decode`) and writes (`encode`) it.  An absent key takes
-the default of the attribute it fills.  An unknown key, or a value of
-another kind than its key's, is a ConfigError that names the key by its
-path, such as `train.lr` or `clients[2].skew.ratio`.  INT takes a JSON
-integer (not a bool, not 2.0), FLOAT a number (not a bool), BOOL true or
-false and STR a string; null is taken where the attribute's default is None.
+Each JSON object of a config, sweep spec, dataset schema or model file is
+a `Section`: one table of its JSON keys and their kinds that both reads
+(`decode`) and writes (`encode`) it.  An absent key takes the default of
+the attribute it fills.  An unknown key, or a value of another kind than
+its key's, is a ConfigError that names the key by its path, such as
+`train.lr` or `clients[2].skew.ratio`.  INT takes a JSON integer (not a
+bool, not 2.0), FLOAT a number (not a bool), BOOL true or false and STR a
+string; null is taken where the attribute's default is None.  The files
+themselves are read by `read_json` and written by `write_json`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ def read_json(path, what: str | None = None):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def write_json(path, obj) -> None:
+    """Write `obj` to `path` as JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def malformed(what, path, detail) -> ConfigError:
     return ConfigError(f"malformed {what}: {path or what} {detail}")
 
@@ -55,7 +64,7 @@ def _scalar(name, accepts, read=lambda value: value) -> Kind:
             except OverflowError:  # an integer beyond the float range
                 pass
         raise malformed(what, path, f"must be {name}, got {value!r}")
-    return Kind(decode)
+    return Kind(decode, read)  # written as read: a numpy float64 as a float
 
 
 # type(v) is int, not isinstance: a bool is an int to isinstance
@@ -81,12 +90,13 @@ class Section:
     A key fills the attribute of its name, or the one `attrs` maps it to.
     It is required when that attribute has no default or `required` names
     it, and may be null when the default is None; `retired` keys are
-    ignored.  With `shorthand`, a bare string stands for `{shorthand:
-    string}`.  A section with no `cls` decodes to a dict; held by another
-    section, its keys fill attributes of the holder's object.
+    ignored, and a `sparse` key is left out when written with its default.
+    With `shorthand`, a bare string stands for `{shorthand: string}`.  A
+    section with no `cls` decodes to a dict; held by another section, its
+    keys fill attributes of the holder's object.
     """
 
-    def __init__(self, cls, keys, *, attrs=None, required=(), retired=(), shorthand=None):
+    def __init__(self, cls, keys, *, attrs=None, required=(), retired=(), sparse=(), shorthand=None):
         self.cls, self.keys, self.retired, self.shorthand = cls, keys, set(retired), shorthand
         # the attribute each key fills; None for a held section with no class
         self.attrs = {
@@ -97,6 +107,7 @@ class Section:
         default = {key: defaults.get(attr, MISSING) for key, attr in self.attrs.items() if attr}
         self.required = set(required) | {key for key, d in default.items() if cls and d is MISSING}
         self.nullable = {key for key, d in default.items() if d is None}
+        self.sparse = {key: default[key] for key in sparse}
 
     def decode(self, value, what, path=""):
         if self.shorthand and isinstance(value, str):
@@ -122,4 +133,7 @@ class Section:
 
     def encode(self, obj) -> dict:
         values = {key: obj if a is None else getattr(obj, a) for key, a in self.attrs.items()}
-        return {key: None if v is None else self.keys[key].encode(v) for key, v in values.items()}
+        return {
+            key: None if v is None else self.keys[key].encode(v)
+            for key, v in values.items() if key not in self.sparse or v != self.sparse[key]
+        }

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .codec import STR, Section, list_of
 from .errors import (
+    ConfigError,
     DataError,
     EmptyDatasetError,
     InfeasibleSkewError,
@@ -170,37 +173,31 @@ class DatasetSchema:
                 raise SchemaError(f"column {special!r} cannot be both special and a feature")
 
     @staticmethod
-    def from_dict(raw: dict) -> "DatasetSchema":
+    def from_dict(raw) -> "DatasetSchema":
         try:
-            feats = tuple(
-                ColumnSpec(
-                    name=c["name"],
-                    kind=c["kind"],
-                    categories=tuple(c.get("categories", ())),
-                )
-                for c in raw["features"]
-            )
-            return DatasetSchema(
-                features=feats,
-                label=raw["label"]["column"],
-                label_positive=str(raw["label"]["positive"]),
-                sensitive=raw["sensitive"]["column"],
-                sensitive_advantaged=str(raw["sensitive"]["advantaged"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed schema: {exc!r}") from exc
+            return SCHEMA_TABLE.decode(raw, "schema")
+        except ConfigError as exc:  # a fault the codec finds is a SchemaError too
+            raise SchemaError(*exc.args) from None
 
     def to_dict(self) -> dict:
-        return {
-            "features": [
-                {"name": c.name, "kind": c.kind}
-                if c.kind == "numeric"
-                else {"name": c.name, "kind": c.kind, "categories": list(c.categories)}
-                for c in self.features
-            ],
-            "label": {"column": self.label, "positive": self.label_positive},
-            "sensitive": {"column": self.sensitive, "advantaged": self.sensitive_advantaged},
-        }
+        return SCHEMA_TABLE.encode(self)
+
+
+# The JSON form of a schema, in a schema file or a config's `csv.schema`.  A
+# numeric column is written without its (empty) categories.
+SCHEMA_TABLE = Section(DatasetSchema, {
+    "features": list_of(Section(
+        ColumnSpec, {"name": STR, "kind": STR, "categories": list_of(STR)}, sparse=("categories",)
+    )),
+    "label": Section(
+        None, {"column": STR, "positive": STR}, required=("column", "positive"),
+        attrs={"column": "label", "positive": "label_positive"},
+    ),
+    "sensitive": Section(
+        None, {"column": STR, "advantaged": STR}, required=("column", "advantaged"),
+        attrs={"column": "sensitive", "advantaged": "sensitive_advantaged"},
+    ),
+}, required=("label", "sensitive"))
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,8 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     for name in needed:
         if name not in col_index:
             raise SchemaError(f"{path}: column {name!r} not found in header")
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears more than once in header")
 
     rows, labels, sens = [], [], []
     for rownum, raw in enumerate(reader, start=1):
@@ -282,19 +281,23 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
                 f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
             )
         cells = [c.strip() for c in raw]
+        for name in needed:
+            if cells[col_index[name]] == "":
+                raise RowParseError(f"{path}: row {rownum}: column {name!r} is empty")
         feats: list[float] = []
         for spec in schema.features:
             cell = cells[col_index[spec.name]]
-            if cell == "":
-                raise RowParseError(f"{path}: row {rownum}: column {spec.name!r} is empty")
             if spec.kind == "numeric":
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan  # not a number: reported below
+                if not math.isfinite(value):  # nan, inf or 1e400 would reach the z-scores
                     raise RowParseError(
                         f"{path}: row {rownum}: column {spec.name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
+                        f"cannot parse {cell!r} as a finite number"
+                    )
+                feats.append(value)
             else:
                 if cell not in spec.categories:
                     raise RowParseError(
@@ -302,14 +305,8 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
                         f"value {cell!r} not in declared categories"
                     )
                 feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
-        for col, store, positive in (
-            (schema.label, labels, schema.label_positive),
-            (schema.sensitive, sens, schema.sensitive_advantaged),
-        ):
-            cell = cells[col_index[col]]
-            if cell == "":
-                raise RowParseError(f"{path}: row {rownum}: column {col!r} is empty")
-            store.append(1 if cell == positive else 0)
+        labels.append(int(cells[col_index[schema.label]] == schema.label_positive))
+        sens.append(int(cells[col_index[schema.sensitive]] == schema.sensitive_advantaged))
         rows.append(feats)
 
     if not rows:
@@ -317,17 +314,12 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
 
     features = np.asarray(rows, dtype=np.float64)
     # standardize only the numeric source columns; one-hot stays 0/1
-    offset = 0
-    for spec in schema.features:
-        width = 1 if spec.kind == "numeric" else len(spec.categories)
+    widths = [len(spec.categories) or 1 for spec in schema.features]  # numeric: 1
+    for spec, offset in zip(schema.features, np.cumsum([0] + widths)):
         if spec.kind == "numeric":
             col = features[:, offset]
             std = col.std()
-            if std == 0.0:
-                features[:, offset] = 0.0
-            else:
-                features[:, offset] = (col - col.mean()) / std
-        offset += width
+            features[:, offset] = 0.0 if std == 0.0 else (col - col.mean()) / std
     return TabularDataset(features, np.asarray(labels), np.asarray(sens))
 
 

@@ -11,7 +11,6 @@ ranking flag over replicate seeds and summarize final-round metrics.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -27,8 +26,9 @@ from .baselines import (
     qfedavg_round,
     qfedsgd_round,
 )
-from .codec import BOOL, FLOAT, INT, STR, Kind, Section, list_of, malformed, read_json
+from .codec import BOOL, FLOAT, INT, STR, Kind, Section, list_of, malformed, read_json, write_json
 from .data import (
+    SCHEMA_TABLE,
     ClientSpec,
     DatasetSchema,
     SkewSpec,
@@ -135,9 +135,7 @@ _SYNTHETIC = Section(
     SyntheticSpec,
     {"n": INT, "dim": INT, "positive_rates": list_of(FLOAT, length=2), "seed": INT},
 )
-_CSV = Section(CsvSpec, {"path": STR, "schema": Kind(
-    lambda value, what, path: DatasetSchema.from_dict(value), DatasetSchema.to_dict
-)})
+_CSV = Section(CsvSpec, {"path": STR, "schema": SCHEMA_TABLE})
 _SOURCES = {"synthetic": _SYNTHETIC, "csv": _CSV}
 
 
@@ -211,9 +209,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     out = _make_dir(out_dir if out_dir is not None else cfg.out_dir)
     for stale in ("rounds.jsonl", "rounds.csv"):
         (out / stale).unlink(missing_ok=True)
-    with open(out / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(out / "resolved_config.json", cfg.to_dict())
 
     dataset = _build_dataset(cfg)
     train_data, validation = split_validation(

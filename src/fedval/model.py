@@ -7,14 +7,13 @@ local training step each simulated client runs on its own shard.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import read_json
+from .codec import FLOAT, Section, list_of, read_json, write_json
 from .data import TabularDataset
 from .errors import ConfigError, EmptyDatasetError, NumericOverflowError, ShapeError
 from .seeding import derive_seed
@@ -62,23 +61,22 @@ class ModelParams:
         return ModelParams(np.zeros(dim), 0.0)
 
     def to_dict(self) -> dict:
-        return {"weights": [float(w) for w in self.weights], "bias": float(self.bias)}
+        return _PARAMS.encode(self)
 
     @staticmethod
-    def from_dict(raw: dict) -> "ModelParams":
-        try:
-            return ModelParams(np.asarray(raw["weights"], dtype=np.float64), float(raw["bias"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed model parameters: {exc!r}") from exc
+    def from_dict(raw) -> "ModelParams":
+        return _PARAMS.decode(raw, "model parameters")
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "ModelParams":
         return ModelParams.from_dict(read_json(path))  # a missing file stays an OSError
+
+
+# the JSON form of a model file, such as a run's final_model.json
+_PARAMS = Section(ModelParams, {"weights": list_of(FLOAT), "bias": FLOAT})
 
 
 @dataclass(frozen=True)

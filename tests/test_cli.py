@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -392,6 +393,154 @@ def test_eval_of_a_csv_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert f"error: {data}: not UTF-8 text" in err and "Traceback" not in err
 
 
+# a CSV with a numeric and a categorical feature, and its schema
+_CSV_ROWS = ["age,work,income,sex"] + [
+    f"{20 + (i * 7) % 40},{'ab'[i % 2]}{'xy'[(i // 2) % 2]},{'>50K' if i % 3 else '<=50K'},{'MF'[(i // 3) % 2]}"
+    for i in range(120)
+]
+
+
+def _csv_schema():
+    return {
+        "features": [
+            {"name": "age", "kind": "numeric"},
+            {"name": "work", "kind": "categorical", "categories": ["ax", "bx", "ay", "by"]},
+        ],
+        "label": {"column": "income", "positive": ">50K"},
+        "sensitive": {"column": "sex", "advantaged": "M"},
+    }
+
+
+# wrong JSON kinds for each kind of value in a schema or model file
+_WRONG_JSON_KIND = {
+    str: (1, 1.0, True, None, ["x"], {"x": "y"}),
+    float: ("1", True, None, [1.0], {"x": 1.0}),
+    list: ("x", 1, {"x": 1}, None),
+    dict: ("x", 1, [], None),
+}
+
+
+def _faults(obj):
+    """Every (path, value) that gives one value of `obj` a wrong JSON kind, or one of its objects an unknown key."""
+    for path in ((), *_paths(obj)):
+        node = obj
+        for key in path:
+            node = node[key]
+        for value in _WRONG_JSON_KIND[type(node)]:
+            yield path, value
+        if isinstance(node, dict):
+            yield path + ("extra",), 1
+
+
+def _with_fault(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    if not path:
+        return value
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def _run_quietly(argv):
+    """`main(argv)` in the current directory: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_eval_of_a_mutated_schema_or_model_exits_2(tmp_path, monkeypatch):
+    # as for `fedval run`: every value of the schema and model files set to
+    # another JSON kind, and an unknown key in each of their objects, is a
+    # config error (2) with nothing on stdout, where a lenient read would
+    # score the model under a schema whose `"positive": 1.0` matches no row
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("\n".join(_CSV_ROWS) + "\n")
+    files = {"schema.json": _csv_schema(), "model.json": {"weights": [0.5, -0.25, 0.25, 0.0, 1.0], "bias": 0.1}}
+    for name, obj in files.items():
+        Path(name).write_text(json.dumps(obj))
+    assert _run_quietly(["eval", "model.json", "data.csv", "schema.json"])[0] == EXIT_OK
+    wrong = []
+    for name, obj in files.items():
+        for path, value in _faults(obj):
+            Path(name).write_text(json.dumps(_with_fault(obj, path, value)))
+            code, out, err = _run_quietly(["eval", "model.json", "data.csv", "schema.json"])
+            if code != EXIT_CONFIG or out or "config error: " not in err or "Traceback" in err:
+                wrong.append((name, path, value, code, out, err))
+        Path(name).write_text(json.dumps(obj))
+    assert wrong == []
+
+
+def _names_path(err, dotted):
+    """Whether `err` names the config path `dotted` (list indices written as `[i]`)."""
+    return re.sub(r"\.(\d+)", r"[\1]", dotted) in err
+
+
+def test_csv_run_of_a_mutated_schema_exits_2(tmp_path, monkeypatch):
+    # the same faults in the `csv` source of a run config, each named by its path
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("\n".join(_CSV_ROWS) + "\n")
+    base = _fuzz_base("fedval")
+    base["data"] = {"csv": {"path": "data.csv", "schema": _csv_schema()}}
+    Path("config.json").write_text(json.dumps(base))
+    assert _run_quietly(["run", "config.json"])[0] == EXIT_OK
+    wrong = []
+    for path, value in _faults(base["data"]["csv"]):
+        raw = json.loads(json.dumps(base))
+        raw["data"]["csv"] = _with_fault(raw["data"]["csv"], path, value)
+        Path("config.json").write_text(json.dumps(raw))
+        code, _, err = _run_quietly(["run", "config.json"])
+        named = ".".join(["data", "csv", *(str(key) for key in path if key != "extra")])
+        if code != EXIT_CONFIG or "Traceback" in err or not _names_path(err, named):
+            wrong.append((path, value, code, err))
+    assert wrong == []
+
+
+def _eval_csv(rows):
+    """`fedval eval` of a 5-weight model on `rows` under `_csv_schema()`: (exit code, stdout, stderr)."""
+    Path("data.csv").write_text("\n".join(rows) + "\n")
+    write_json(Path("schema.json"), _csv_schema())
+    write_json(Path("model.json"), {"weights": [0.5, -0.25, 0.25, 0.0, 1.0], "bias": 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        return _run_quietly(["eval", "model.json", "data.csv", "schema.json"])
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+def test_eval_of_a_non_finite_cell_is_a_row_error(tmp_path, monkeypatch, cell):
+    monkeypatch.chdir(tmp_path)
+    rows = list(_CSV_ROWS)
+    rows[2] = cell + rows[2][rows[2].index(","):]  # row 2's age
+    code, out, err = _eval_csv(rows)
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert f"error: data.csv: row 2: column 'age': cannot parse '{cell}' as a finite number" in err
+    assert "Traceback" not in err
+
+
+def test_eval_of_a_header_naming_a_schema_column_twice_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _eval_csv([_CSV_ROWS[0] + ",sex"] + [row + ",F" for row in _CSV_ROWS[1:]])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "config error: data.csv: column 'sex' appears more than once in header" in err
+    assert "Traceback" not in err
+
+
+def test_eval_that_fails_on_a_metric_prints_nothing(tmp_path, capsys):
+    # a label value that no row holds: accuracy and SPD can be computed, EOD cannot
+    data, schema = _generated_csv(tmp_path)
+    raw = json.loads(schema.read_text())
+    raw["label"]["positive"] = "2"
+    write_json(schema, raw)
+    model = write_json(tmp_path / "model.json", {"weights": [0.5, -0.25], "bias": 0.1})
+    capsys.readouterr()
+    assert main(["eval", str(model), str(data), str(schema)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: eod: no positive-label rows" in captured.err and "Traceback" not in captured.err
+
+
 def test_run_with_a_nul_byte_in_out_dir_is_config_error(tmp_path, capsys):
     raw = _fuzz_base("fedval")
     raw["out_dir"] = str(tmp_path / "x\x00y")
@@ -517,7 +666,8 @@ def test_eval_dimension_mismatch_is_runtime_error(tmp_path, capsys):
     write_json(model, {"weights": [1.0], "bias": 0.0})  # 1-d model, 3-d data
     code = main(["eval", str(model), str(out_csv), str(out_csv.with_suffix(".schema.json"))])
     assert code == EXIT_RUNTIME
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_eval_missing_model_file_is_runtime_error(tmp_path, capsys):

@@ -5,11 +5,15 @@ resolved_config.json.  Its sha256 is pinned below for every preset and for
 the golden configs of test_golden.py.  The digests were recorded from the
 hand-written `to_dict` that the section tables of `fedval.harness`
 replaced, so a table that writes other bytes (a key renamed, reordered or
-retyped) fails here.
+retyped) fails here.  The same holds for a dataset schema file written by
+`fedval gen-data` and for a run's resolved_config.json with a CSV source,
+pinned from the hand-written schema reader and writer that preceded
+`data.SCHEMA_TABLE`.
 """
 
 import hashlib
 import json
+from pathlib import Path
 from dataclasses import fields, replace
 
 import pytest
@@ -18,10 +22,13 @@ from hypothesis import strategies as st
 
 import fedval.harness as harness
 from fedval.baselines import QConfig
-from fedval.codec import FLOAT, INT, Section, read_json
+from fedval.cli import main
+from fedval.codec import FLOAT, INT, Section, read_json, write_json
 from fedval.data import ClientSpec, SkewSpec
 from fedval.errors import ConfigError
-from fedval.harness import STRATEGIES, ExperimentConfig, SweepSpec, SyntheticSpec, preset, preset_names
+from fedval.harness import (
+    STRATEGIES, ExperimentConfig, SweepSpec, SyntheticSpec, preset, preset_names, run_experiment,
+)
 from fedval.metrics import ObjectiveSpec
 from fedval.model import TrainConfig
 from fedval.server import RankingConfig
@@ -149,6 +156,76 @@ def test_a_csv_source_round_trips_and_writes_its_schema_as_before(tmp_path):
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg.to_dict()["data"] == raw["data"]
     assert round_trip(cfg) == cfg
+
+
+# sha256 of the schema file `fedval gen-data` writes for a 3-column spec, and
+# of resolved_config.json for a run of the CSV-sourced config below
+GEN_DATA_SCHEMA_DIGEST = "d176e2d9b089f69c895b62702427f9ff3486820982f705eb5a96e793a81c4174"
+CSV_CONFIG_DIGEST = "ec73c346262422d541e944fb42147c062727e53f2c086e8ce7dca6e9e4d1c0c8"
+
+
+def file_digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_gen_data_writes_the_pinned_schema_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json("spec.json", {"n": 40, "dim": 3, "positive_rates": [0.6, 0.4], "seed": 2})
+    assert main(["gen-data", "spec.json", "synth.csv"]) == 0
+    assert file_digest("synth.schema.json") == GEN_DATA_SCHEMA_DIGEST
+
+
+def test_a_csv_sourced_run_resolves_to_the_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the config names its CSV by a relative path
+    rows = ["age,work,income,sex"] + [
+        f"{20 + (i * 7) % 40},{'ab'[i % 2]}{'xy'[(i // 2) % 2]},{'>50K' if i % 3 else '<=50K'},{'MF'[(i // 3) % 2]}"
+        for i in range(24)
+    ]
+    Path("adult.csv").write_text("\n".join(rows) + "\n")
+    raw = {
+        "strategy": "fedval", "rounds": 1, "seed": 3, "out_dir": "run",
+        "data": {"csv": {"path": "adult.csv", "schema": {
+            "features": [
+                {"name": "age", "kind": "numeric"},
+                {"name": "work", "kind": "categorical", "categories": ["ax", "bx", "ay", "by"]},
+            ],
+            "label": {"column": "income", "positive": ">50K"},
+            "sensitive": {"column": "sex", "advantaged": "M"},
+        }}},
+        "clients": ["cooperative", "normal"],
+        "objectives": [{"kind": "accuracy", "weight": 1.0}, {"kind": "eod", "weight": 0.5}],
+        "train": {"lr": 0.1, "batch_size": 4},
+        "validation_fraction": 0.25,
+    }
+    out = run_experiment(ExperimentConfig.from_dict(raw))
+    assert file_digest(out / "resolved_config.json") == CSV_CONFIG_DIGEST
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("label", "positive"), 1.0, "malformed config: data.csv.schema.label.positive must be a string, got 1.0"),
+        (("features", 1, "categories", 0), 1, "malformed config: data.csv.schema.features[1].categories[0] must be a string"),
+        (("sensitive", "advantaged"), None, "malformed config: data.csv.schema.sensitive.advantaged must be a string"),
+        (("label", "typo"), 1, "unknown config keys in data.csv.schema.label: ['typo']"),
+    ],
+)
+def test_a_schema_fault_in_a_config_is_named_by_its_path(tmp_path, path, value, message):
+    data = tmp_path / "data.csv"
+    data.write_text("x,c,y,g\n1.0,u,1,a\n2.0,v,0,d\n")
+    schema = {
+        "features": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "c", "kind": "categorical", "categories": ["u", "v"]},
+        ],
+        "label": {"column": "y", "positive": "1"},
+        "sensitive": {"column": "g", "advantaged": "a"},
+    }
+    raw = base_raw()
+    raw["data"] = {"csv": {"path": str(data), "schema": set_path(schema, path, value)}}
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value).startswith(message)
 
 
 def _tables():

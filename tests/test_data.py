@@ -1,3 +1,7 @@
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +264,112 @@ def test_schema_dict_roundtrip(adult_schema):
 def test_malformed_schema_dict_is_a_schema_error(raw):
     with pytest.raises(SchemaError, match="malformed schema"):
         DatasetSchema.from_dict(raw)
+
+
+def _schema_raw():
+    return {
+        "features": [
+            {"name": "age", "kind": "numeric"},
+            {"name": "workclass", "kind": "categorical", "categories": ["Private", "Self-emp"]},
+        ],
+        "label": {"column": "income", "positive": ">50K"},
+        "sensitive": {"column": "sex", "advantaged": "Male"},
+    }
+
+
+def test_schema_dict_is_the_file_form(adult_schema):
+    # a numeric column is written without categories, a categorical one with them
+    assert adult_schema.to_dict() == _schema_raw()
+    assert DatasetSchema.from_dict(_schema_raw()) == adult_schema
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("label", "positive"), 1.0, "malformed schema: label.positive must be a string, got 1.0"),
+        (("label", "positive"), 1, "malformed schema: label.positive must be a string, got 1"),
+        (("sensitive", "advantaged"), True, "malformed schema: sensitive.advantaged must be a string"),
+        (("sensitive", "column"), None, "malformed schema: sensitive.column must be a string, got None"),
+        (("features", 1, "categories", 0), 3, "malformed schema: features[1].categories[0] must be a string"),
+        (("features", 1, "categories"), "Private", "malformed schema: features[1].categories must be a list"),
+        (("features", 0, "kind"), ["numeric"], "malformed schema: features[0].kind must be a string"),
+        (("features",), {"name": "age"}, "malformed schema: features must be a list"),
+        (("typo",), 1, "unknown schema keys: ['typo']"),
+        (("label", "extra"), 2, "unknown schema keys in label: ['extra']"),
+        (("features", 0, "categoris"), ["a"], "unknown schema keys in features[0]: ['categoris']"),
+    ],
+)
+def test_a_schema_dict_is_read_strictly(path, value, message):
+    raw = _schema_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(SchemaError) as info:
+        DatasetSchema.from_dict(raw)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "path, missing",
+    [(("label",), "label"), (("sensitive",), "sensitive"), (("features",), "features"),
+     (("label", "positive"), "label.positive"), (("sensitive", "column"), "sensitive.column"),
+     (("features", 1, "kind"), "features[1].kind"), (("features", 0, "name"), "features[0].name")],
+)
+def test_a_missing_schema_key_is_named_by_its_path(path, missing):
+    raw = _schema_raw()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(SchemaError, match=rf"^malformed schema: {re.escape(missing)} is missing$"):
+        DatasetSchema.from_dict(raw)
+
+
+_names = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), min_size=1, max_size=6)
+
+
+@st.composite
+def schemas(draw):
+    names = draw(st.lists(_names, min_size=3, max_size=8, unique=True))
+    columns = tuple(
+        ColumnSpec(name, "numeric")
+        if draw(st.booleans())
+        else ColumnSpec(name, "categorical", tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True))))
+        for name in names[2:]
+    )
+    return DatasetSchema(columns, names[0], draw(st.text(max_size=4)), names[1], draw(st.text(max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemas())
+def test_any_schema_round_trips_through_json(schema):
+    text = json.dumps(schema.to_dict(), indent=2)
+    again = DatasetSchema.from_dict(json.loads(text))
+    assert again == schema
+    assert json.dumps(again.to_dict(), indent=2) == text
+    for column in json.loads(text)["features"]:
+        assert ("categories" in column) == (column["kind"] == "categorical")
+
+
+def test_load_csv_header_naming_a_schema_column_twice_is_a_schema_error(tmp_path, adult_schema):
+    path = tmp_path / "dup.csv"
+    path.write_text("age,age,workclass,income,sex\n39,40,Private,>50K,Male\n")
+    with pytest.raises(SchemaError, match="column 'age' appears more than once"):
+        load_csv(path, adult_schema)
+    # a repeated column the schema does not name is ignored, as before
+    path.write_text("age,workclass,income,sex,x,x\n39,Private,>50K,Male,1,2\n")
+    assert load_csv(path, adult_schema).n == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "NaN", "-Infinity"])
+def test_load_csv_non_finite_number_names_row_and_column(tmp_path, adult_schema, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"age,workclass,income,sex\n39,Private,>50K,Male\n{cell},Private,<=50K,Female\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(RowParseError, match=rf"row 2: column 'age': cannot parse '{cell}' as a finite number"):
+            load_csv(path, adult_schema)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -93,6 +95,43 @@ def test_params_roundtrip_dict_and_file(tmp_path):
 def test_params_from_a_malformed_dict_is_a_config_error(raw):
     with pytest.raises(ConfigError, match="malformed model parameters"):
         ModelParams.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"weights": ["1", True], "bias": True, "extra": 1}, "unknown model parameters keys: ['extra']"),
+        ({"weights": ["1", 2.0], "bias": 0.0}, "malformed model parameters: weights[0] must be a number, got '1'"),
+        ({"weights": [1.0, True], "bias": 0.0}, "malformed model parameters: weights[1] must be a number, got True"),
+        ({"weights": [[1.0]], "bias": 0.0}, "malformed model parameters: weights[0] must be a number"),
+        ({"weights": [1.0], "bias": True}, "malformed model parameters: bias must be a number, got True"),
+        ({"weights": [1.0], "bias": "0"}, "malformed model parameters: bias must be a number, got '0'"),
+        ({"weights": [1.0], "bias": None}, "malformed model parameters: bias must be a number, got None"),
+        ({"bias": 0.0}, "malformed model parameters: weights is missing"),
+    ],
+)
+def test_params_from_dict_is_strict(raw, message):
+    with pytest.raises(ConfigError) as info:
+        ModelParams.from_dict(raw)
+    assert str(info.value).startswith(message)
+
+
+_weights = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_weights, max_size=12), _weights)
+@example([5e-324, -0.0, 1e308, -1e308, 1e-310], -0.0)
+def test_params_round_trip_through_a_file_bit_for_bit(tmp_path_factory, weights, bias):
+    p = ModelParams(np.array(weights, dtype=np.float64), bias)
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    p.save(path)
+    for q in (ModelParams.from_dict(json.loads(json.dumps(p.to_dict()))), ModelParams.load(path)):
+        assert q.weights.tobytes() == p.weights.tobytes()
+        assert struct.pack("<d", q.bias) == struct.pack("<d", p.bias)
+    assert path.read_text() == json.dumps(p.to_dict(), indent=2) + "\n"
 
 
 def test_params_weights_are_readonly():
