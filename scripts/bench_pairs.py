@@ -23,7 +23,10 @@ of pairs the change won (ties count for neither side) and a verdict:
   no change   otherwise
 
 Which direction is better, and each bound, are read from BENCHMARK.json
-beside this script.
+beside this script.  Each run's output digests come from perfbench's
+summary line of the workload; the script also prints on how many pairs
+the parent and the change wrote equal outputs.  That count is reported,
+not a failure: a change may mean to alter its outputs.
 
 Nothing is written but what perfbench itself writes: its work directory
 under each checkout, which it removes.  Exits 1 if any run is not correct
@@ -42,8 +45,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def summary_digests(stdout: str, workload: str) -> list | None:
+    """The output digests in perfbench's summary line of `workload`, or None if no line has them."""
+    for line in stdout.splitlines():
+        if not line.startswith("{"):
+            continue
+        try:
+            summary = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if summary.get("workload") == workload and "digests" in summary:
+            return summary["digests"]
+    return None
+
+
+def equal_outputs(runs: list[tuple[dict | None, dict | None]]) -> tuple[int, int]:
+    """(pairs whose parent and change runs wrote equal outputs, pairs where both runs have digests)."""
+    both = [(p["digests"], c["digests"]) for p, c in runs
+            if p and c and p["digests"] is not None and c["digests"] is not None]
+    return sum(p == c for p, c in both), len(both)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """One perfbench run in `checkout`; its last stdout line, or None if the run failed."""
+    """One perfbench run in `checkout`: its metrics and output digests, or None if the run failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -63,7 +87,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
         print(f"  {checkout}: seed {seed} is not correct (exit {proc.returncode})\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
         return None
-    return last
+    return {"metrics": last["metrics"], "digests": summary_digests(proc.stdout, workload)}
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -92,22 +116,24 @@ def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
 
 def compare(sides: dict, workload: str, seeds: range, seconds: float, metrics: list[dict]) -> int:
     """Run the pairs of one workload and print its table; returns the number of failed runs."""
-    results = {"parent": [], "change": []}  # per pair: the metrics dict, or None for a failed run
+    results = {"parent": [], "change": []}  # per pair: run_once's result, None for a failed run
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            last = run_once(sides[side], workload, seed, seconds)
-            results[side].append(None if last is None else last["metrics"])
-            print(f"{workload} pair {seed}: {side} {'done' if last else 'FAILED'}", file=sys.stderr)
+            run = run_once(sides[side], workload, seed, seconds)
+            results[side].append(run)
+            print(f"{workload} pair {seed}: {side} {'done' if run else 'FAILED'}", file=sys.stderr)
 
     print(f"{workload}: {len(seeds)} pairs of {seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}")
+    equal, compared = equal_outputs(list(zip(results["parent"], results["change"])))
+    print(f"outputs: parent and change wrote equal outputs in {equal}/{compared} pairs")
     print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
           f"{'change':>8s} {'wins':>6s}  verdict")
     for metric in metrics:
         name, direction = metric["name"], metric["better"]
-        pairs = [(p[name]["value"], c[name]["value"])
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                  for p, c in zip(results["parent"], results["change"])
-                 if p is not None and c is not None and name in p and name in c]
+                 if p is not None and c is not None and name in p["metrics"] and name in c["metrics"]]
         if not pairs:
             print(f"{name:24s} no pair with both runs correct")
             continue

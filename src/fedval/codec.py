@@ -6,14 +6,16 @@ a `Section`: one table of its JSON keys and their kinds that both reads
 the attribute it fills.  An unknown key, or a value of another kind than
 its key's, is a ConfigError that names the key by its path, such as
 `train.lr` or `clients[2].skew.ratio`.  INT takes a JSON integer (not a
-bool, not 2.0), FLOAT a number (not a bool), BOOL true or false and STR a
-string; null is taken where the attribute's default is None.  The files
-themselves are read by `read_json` and written by `write_json`.
+bool, not 2.0), FLOAT a finite number (not a bool, not NaN or Infinity),
+BOOL true or false and STR a string; null is taken where the attribute's
+default is None.  The files themselves are read by `read_json` and
+written by `write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import MISSING, fields
 
@@ -67,9 +69,10 @@ def _scalar(name, accepts, read=lambda value: value) -> Kind:
     return Kind(decode, read)  # written as read: a numpy float64 as a float
 
 
-# type(v) is int, not isinstance: a bool is an int to isinstance
+# type(v) is int, not isinstance: a bool is an int to isinstance.  Python's
+# json reads NaN, Infinity and -Infinity as floats; FLOAT turns them down.
 INT = _scalar("an integer", lambda v: type(v) is int)
-FLOAT = _scalar("a number", lambda v: type(v) in (int, float), float)
+FLOAT = _scalar("a number", lambda v: type(v) is int or (type(v) is float and math.isfinite(v)), float)
 BOOL = _scalar("true or false", lambda v: type(v) is bool)
 STR = _scalar("a string", lambda v: type(v) is str)
 

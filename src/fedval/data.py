@@ -56,9 +56,14 @@ class TabularDataset:
     def __post_init__(self):
         # private copies: a caller that re-enables writes on its own arrays
         # must not reach the rows (or the caches derived from them)
-        feats = np.array(self.features, dtype=np.float64, order="C")
-        labels = np.array(self.labels, dtype=np.int64, order="C")
-        sens = np.array(self.sensitive, dtype=np.int64, order="C")
+        self._own(
+            np.array(self.features, dtype=np.float64, order="C"),
+            np.array(self.labels, dtype=np.int64, order="C"),
+            np.array(self.sensitive, dtype=np.int64, order="C"),
+        )
+
+    def _own(self, feats, labels, sens):
+        """Check the three arrays, mark them read-only and keep them as the dataset's own."""
         if feats.ndim != 2:
             raise DataError(f"features must be 2-d, got shape {feats.shape}")
         n = feats.shape[0]
@@ -78,6 +83,21 @@ class TabularDataset:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _adopt(cls, features, labels, sensitive) -> "TabularDataset":
+        """A dataset that takes over arrays this module has just built, without copying them.
+
+        The checks are the public constructor's.  No other reference to the
+        arrays may outlive the call: they become the dataset's read-only rows.
+        """
+        dataset = object.__new__(cls)
+        dataset._own(
+            np.asarray(features, dtype=np.float64, order="C"),
+            np.asarray(labels, dtype=np.int64, order="C"),
+            np.asarray(sensitive, dtype=np.int64, order="C"),
+        )
+        return dataset
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -91,11 +111,21 @@ class TabularDataset:
         """Row indices in lexicographic order of (features, label, group), read-only.
 
         Computed once per dataset: the arrays are immutable, so the order
-        cannot go stale.
+        cannot go stale.  When the first feature column has no tie (-0.0
+        and 0.0 tie), one stable argsort of it is already that order; only
+        a tie needs the full lexsort.
         """
-        keys = [self.sensitive, self.labels]
-        keys.extend(self.features[:, j] for j in range(self.dim - 1, -1, -1))
-        order = np.lexsort(keys)
+        order = None
+        if self.dim:
+            first = self.features[:, 0]
+            order = np.argsort(first, kind="stable")
+            ranked = first[order]
+            if (ranked[1:] == ranked[:-1]).any():
+                order = None
+        if order is None:
+            keys = [self.sensitive, self.labels]
+            keys.extend(self.features[:, j] for j in range(self.dim - 1, -1, -1))
+            order = np.lexsort(keys)
         order.flags.writeable = False
         return order
 
@@ -124,7 +154,7 @@ class TabularDataset:
 
     def subset(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return TabularDataset(
+        return TabularDataset._adopt(
             self.features.take(idx, axis=0), self.labels.take(idx), self.sensitive.take(idx)
         )
 
@@ -318,9 +348,16 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     for spec, offset in zip(schema.features, np.cumsum([0] + widths)):
         if spec.kind == "numeric":
             col = features[:, offset]
-            std = col.std()
-            features[:, offset] = 0.0 if std == 0.0 else (col - col.mean()) / std
-    return TabularDataset(features, np.asarray(labels), np.asarray(sens))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    std = col.std()
+                    features[:, offset] = 0.0 if std == 0.0 else (col - col.mean()) / std
+            except FloatingPointError:
+                raise DataError(
+                    f"{path}: column {spec.name!r}: values too large to standardize "
+                    "(their mean or spread leaves the float range)"
+                ) from None
+    return TabularDataset._adopt(features, labels, sens)
 
 
 def generate_synthetic(n: int, dim: int, group_positive_rates, seed: int) -> TabularDataset:
@@ -359,14 +396,16 @@ def generate_synthetic(n: int, dim: int, group_positive_rates, seed: int) -> Tab
     # on label-skewed shards produces measurably biased models
     label_dir = np.ones(dim) / np.sqrt(dim)
     group_dir = np.array([1.0 if j % 2 == 0 else -1.0 for j in range(dim)]) / np.sqrt(dim)
-    centers = (
-        0.9 * (2.0 * labels - 1.0)[:, None] * label_dir[None, :]
-        + 1.25 * (2.0 * groups - 1.0)[:, None] * group_dir[None, :]
-    )
-    features = centers + rng.standard_normal((n, dim))
+    # features = center + noise, with center = 0.9 (2y - 1) label_dir
+    # + 1.25 (2g - 1) group_dir, built in place in one (n, dim) buffer; the
+    # groups are two row blocks, so the group term is one row per block
+    features = np.multiply((0.9 * (2.0 * labels - 1.0))[:, None], label_dir)
+    features[:n_a] += 1.25 * group_dir  # 2g - 1 = 1.0 for group a
+    features[n_a:] += -1.25 * group_dir  # and -1.0 for group d
+    features += rng.standard_normal((n, dim))
 
     perm = rng.permutation(n)
-    return TabularDataset(features[perm], labels[perm], groups[perm])
+    return TabularDataset._adopt(features.take(perm, axis=0), labels[perm], groups[perm])
 
 
 def _group_stats(labels, sensitive, group_value):
@@ -470,6 +509,11 @@ def partition(dataset: TabularDataset, profiles, seed: int) -> list[ClientProfil
     return clients
 
 
+def _covers(values) -> bool:
+    """Whether a 0/1 column holds both values (np.unique would import numpy.ma)."""
+    return 0 < np.count_nonzero(values) < len(values)
+
+
 def split_validation(dataset: TabularDataset, fraction: float, seed: int):
     """Split off a validation side that covers both groups and both labels.
 
@@ -484,7 +528,7 @@ def split_validation(dataset: TabularDataset, fraction: float, seed: int):
         raise InvalidValidationSplitError(
             f"fraction {fraction} leaves an empty side for {dataset.n} rows"
         )
-    if len(np.unique(dataset.sensitive)) < 2 or len(np.unique(dataset.labels)) < 2:
+    if not (_covers(dataset.sensitive) and _covers(dataset.labels)):
         raise InvalidValidationSplitError(
             "dataset lacks a group or a label value; no split can cover both"
         )
@@ -494,12 +538,7 @@ def split_validation(dataset: TabularDataset, fraction: float, seed: int):
             dataset.n
         )
         val_idx = perm[:m]
-        val_labels = dataset.labels[val_idx]
-        val_sens = dataset.sensitive[val_idx]
-        if (
-            len(np.unique(val_sens)) == 2
-            and len(np.unique(val_labels)) == 2
-        ):
+        if _covers(dataset.sensitive[val_idx]) and _covers(dataset.labels[val_idx]):
             train = dataset.subset(np.sort(perm[m:]))
             validation = dataset.subset(np.sort(val_idx))
             return train, validation

@@ -216,8 +216,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         dataset, cfg.validation_fraction, derive_seed(cfg.seed, "split")
     )
     clients = partition(train_data, cfg.clients, derive_seed(cfg.seed, "partition"))
+    del dataset, train_data  # the shards and the validation split hold every row the rounds use
 
-    params = ModelParams.zeros(dataset.dim)
+    params = ModelParams.zeros(validation.dim)
     rank_state = RankState.zeros(c.client_id for c in clients)
     afl_state = AFLState.uniform(
         tuple(c.client_id for c in clients), cfg.afl_lambda_lr

@@ -99,6 +99,27 @@ def reference_canonical_order(dataset):
     return np.lexsort(keys)
 
 
+def reference_synthetic_arrays(n, dim, group_positive_rates, seed):
+    """The (features, labels, groups) that data.generate_synthetic must give,
+    built with whole-array temporaries: center plus noise, rows permuted last."""
+    rng = np.random.default_rng(seed)
+    n_a = (n + 1) // 2
+    labels = np.concatenate([
+        (rng.random(n_a) < group_positive_rates[0]).astype(np.int64),
+        (rng.random(n - n_a) < group_positive_rates[1]).astype(np.int64),
+    ])
+    groups = np.concatenate([np.full(n_a, GROUP_A, dtype=np.int64), np.full(n - n_a, GROUP_D, dtype=np.int64)])
+    label_dir = np.ones(dim) / np.sqrt(dim)
+    group_dir = np.array([1.0 if j % 2 == 0 else -1.0 for j in range(dim)]) / np.sqrt(dim)
+    centers = (
+        0.9 * (2.0 * labels - 1.0)[:, None] * label_dir[None, :]
+        + 1.25 * (2.0 * groups - 1.0)[:, None] * group_dir[None, :]
+    )
+    features = centers + rng.standard_normal((n, dim))
+    perm = rng.permutation(n)
+    return features[perm], labels[perm], groups[perm]
+
+
 def reference_client_update(params, local, cfg):
     """Per-batch mini-batch SGD: gathers each batch from the canonical order
     through the epoch's permutation and steps out of place."""

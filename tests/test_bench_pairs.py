@@ -1,11 +1,12 @@
-"""The verdict rule of scripts/bench_pairs.py, on made-up pairs of runs."""
+"""The verdict rule and the output comparison of scripts/bench_pairs.py, on made-up runs."""
 
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
-from bench_pairs import verdict  # noqa: E402
+from bench_pairs import equal_outputs, summary_digests, verdict  # noqa: E402
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
@@ -31,3 +32,39 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # unless every run of the change reads better than every run of the parent
     assert verdict([(20.0, 4.0), (30.0, 1.0), (25.0, 9.0), (40.0, 2.0)], "lower", 0.25) == "gain"
     assert verdict([(20.0, 10.0), (30.0, 19.0), (21.0, 18.0), (40.0, 19.5)], "lower", 0.25) != "unresolved"
+
+
+def _stdout(workload, digests):
+    """What perfbench/run.py prints for one workload: environment, summary, table and last line."""
+    summary = {"workload": workload, "seed": 0, "traced": False, "repetitions": 3, "final": [{}]}
+    if digests is not None:
+        summary["digests"] = digests
+    return "\n".join([
+        json.dumps({"environment": {"python": "3"}}),
+        json.dumps(summary),
+        f"== {workload}  seed 0  3 repetitions  fail_ratio 0.0000 (0/3 experiments)",
+        "   wall_s      0.15 s  n=3  q1 0.14  q3 0.16",
+        json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}}),
+    ]) + "\n"
+
+
+def test_summary_digests_are_read_from_the_workloads_summary_line():
+    assert summary_digests(_stdout("afl-k10", ["ab", "cd"]), "afl-k10") == ["ab", "cd"]
+    assert summary_digests(_stdout("afl-k10", ["ab"]), "fedval-k100") is None
+    assert summary_digests(_stdout("afl-k10", None), "afl-k10") is None  # every repetition failed
+    assert summary_digests("{not json\n" + _stdout("afl-k10", ["ab"]), "afl-k10") == ["ab"]
+
+
+def test_equal_outputs_counts_pairs_where_both_runs_have_digests():
+    def run(digests):
+        return {"metrics": {}, "digests": digests}
+
+    runs = [
+        (run(["a", "b"]), run(["a", "b"])),
+        (run(["a", "b"]), run(["a", "x"])),
+        (run(["a"]), None),  # a failed run
+        (run(None), run(["a"])),
+        (run(["c"]), run(["c"])),
+    ]
+    assert equal_outputs(runs) == (2, 3)
+    assert equal_outputs([]) == (0, 0)

@@ -527,6 +527,43 @@ def test_eval_of_a_header_naming_a_schema_column_twice_is_a_config_error(tmp_pat
     assert "Traceback" not in err
 
 
+def test_eval_of_a_column_whose_z_score_overflows_is_a_data_error(tmp_path, monkeypatch):
+    # finite cells whose sum leaves the float range: the mean and spread of
+    # the column overflow, which is named, without a numpy warning
+    monkeypatch.chdir(tmp_path)
+    rows = list(_CSV_ROWS)
+    for i, age in enumerate(["1e308", "1.5e308", "-1e308", "1"], start=1):
+        rows[i] = age + rows[i][rows[i].index(","):]
+    code, out, err = _eval_csv(rows)
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert "error: data.csv: column 'age': values too large to standardize" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_eval_of_a_model_file_with_a_non_finite_literal_is_a_config_error(tmp_path, monkeypatch, literal):
+    # Python's json reads these literals as floats; the codec names the key
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("\n".join(_CSV_ROWS) + "\n")
+    write_json(Path("schema.json"), _csv_schema())
+    Path("model.json").write_text(f'{{"weights": [{literal}, 0, 0, 0, 0], "bias": 0}}\n')
+    code, out, err = _run_quietly(["eval", "model.json", "data.csv", "schema.json"])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "config error: malformed model parameters: weights[0] must be a number, got " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_run_with_a_non_finite_literal_is_a_config_error(tmp_path, monkeypatch, literal):
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(_fuzz_base("fedval")).replace('"lr": 0.1', f'"lr": {literal}')
+    Path("config.json").write_text(text)
+    code, _, err = _run_quietly(["run", "config.json"])
+    assert code == EXIT_CONFIG
+    assert "config error: malformed config: train.lr must be a number, got " in err
+    assert "Traceback" not in err and not Path("run").exists()
+
+
 def test_eval_that_fails_on_a_metric_prints_nothing(tmp_path, capsys):
     # a label value that no row holds: accuracy and SPD can be computed, EOD cannot
     data, schema = _generated_csv(tmp_path)
@@ -722,6 +759,32 @@ def test_sweep_without_base_is_config_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------
+
+
+def _child_modules(code, *argv):
+    """The module names a fresh interpreter holds after running `code` with `argv`."""
+    package_root = str(Path(fedval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sorted(sys.modules)))", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())  # the last line: after what `code` prints
+
+
+def test_a_run_does_not_import_numpy_ma(tiny_config_file, tmp_path):
+    # numpy.ma costs a run about 15 ms and 1 MB; np.unique would import it
+    if "numpy.ma" in _child_modules("import numpy"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    modules = _child_modules(
+        "import sys\nfrom fedval.cli import main\nassert main(['run', sys.argv[1]]) == 0", str(tiny_config_file)
+    )
+    assert "fedval.harness" in modules
+    assert "numpy.ma" not in modules
+    assert (tmp_path / "run" / "final_model.json").exists()
 
 
 def test_installed_script_smoke():

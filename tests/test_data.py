@@ -31,8 +31,9 @@ from fedval.errors import (
     RowParseError,
     SchemaError,
 )
+from fedval.data import _covers
 from fedval.model import ModelParams, loss
-from helpers import rows_as_multiset
+from helpers import coverage_dataset, reference_synthetic_arrays, rows_as_multiset
 
 # ---------------------------------------------------------------------------
 # TabularDataset
@@ -93,6 +94,80 @@ def test_dataset_does_not_alias_the_callers_arrays():
     assert ds.sensitive.tolist() == [0, 0, 1, 1]
     assert loss(model, ds) == before
     assert loss(model, TabularDataset(ds.features, ds.labels, ds.sensitive)) == before
+
+
+def _writable_copies(ds):
+    return np.array(ds.features), np.array(ds.labels), np.array(ds.sensitive)
+
+
+def test_public_constructor_copies_arrays_it_could_keep():
+    # C-contiguous float64 and int64 arrays: the constructor could keep them
+    # as they are, and copies them all the same
+    X, labels, groups = _writable_copies(coverage_dataset(12, 3, seed=2))
+    ds = TabularDataset(X, labels, groups)
+    for ours, theirs in zip((ds.features, ds.labels, ds.sensitive), (X, labels, groups)):
+        assert not np.shares_memory(ours, theirs)
+        assert not ours.flags.writeable and theirs.flags.writeable
+    kept = _writable_copies(ds)
+    X += 1.0
+    labels[:] = 1 - labels
+    groups[:] = 1 - groups
+    assert all(np.array_equal(a, b) for a, b in zip(_writable_copies(ds), kept))
+
+
+def _built_datasets(tmp_path):
+    """(parent, dataset) for every way data.py builds a dataset from another, and (None, d) for the rest."""
+    parent = coverage_dataset(60, 3, seed=5)
+    train, validation = split_validation(parent, 0.25, seed=1)
+    shards = partition(train, [ClientSpec(), ClientSpec(skew=SkewSpec(0.5))], seed=2)
+    csv_path = tmp_path / "built.csv"
+    csv_path.write_text(ADULT_LIKE)
+    schema = DatasetSchema(
+        (ColumnSpec("age", "numeric"), ColumnSpec("workclass", "categorical", ("Private", "Self-emp"))),
+        "income", ">50K", "sex", "Male",
+    )
+    return [
+        (parent, parent.subset([3, 1, 1, 40])),
+        (parent, train),
+        (parent, validation),
+        (train, shards[0].data),
+        (train, shards[1].data),
+        (parent, skew(parent, SkewSpec(0.5), seed=3)),
+        (None, generate_synthetic(30, 2, (0.6, 0.3), seed=4)),
+        (None, load_csv(csv_path, schema)),
+    ]
+
+
+def test_built_datasets_own_read_only_rows(tmp_path):
+    # the datasets data.py builds skip the public constructor's copy; their
+    # rows are still their own, read-only and shared with no other dataset
+    for parent, ds in _built_datasets(tmp_path):
+        arrays = (ds.features, ds.labels, ds.sensitive)
+        assert [a.dtype for a in arrays] == [np.float64, np.int64, np.int64]
+        for arr in arrays:
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            if parent is not None:
+                for theirs in (parent.features, parent.labels, parent.sensitive):
+                    assert not np.shares_memory(arr, theirs)
+
+
+def test_built_datasets_are_checked_like_public_ones():
+    ds = TabularDataset(np.zeros((3, 1)), [0, 1, 1], [1, 0, 1])
+    with pytest.raises(EmptyDatasetError):
+        ds.subset([])
+    with pytest.raises(DataError, match="features contain non-finite values"):
+        TabularDataset._adopt(np.array([[np.inf]]), [0], [1])
+    with pytest.raises(DataError, match="labels must be binary"):
+        TabularDataset._adopt(np.zeros((1, 1)), [2], [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_coverage_test_equals_two_unique_values(values):
+    arr = np.array(values, dtype=np.int64)
+    assert _covers(arr) == (len(np.unique(arr)) == 2)
 
 
 def test_cached_cell_arrays():
@@ -409,6 +484,19 @@ def test_synthetic_is_deterministic():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.sensitive, b.sensitive)
+
+
+@pytest.mark.parametrize(
+    "n, dim, rates, seed",
+    [(2, 1, (0.5, 0.5), 0), (7, 3, (0.6, 0.3), 1), (50, 8, (0.6, 0.3), 7), (501, 5, (1.0, 0.0), 123), (4000, 8, (0.6, 0.3), 2**40)],
+)
+def test_synthetic_equals_the_whole_array_reference(n, dim, rates, seed):
+    # exactness bound: none; the in-place build takes the reference's
+    # operations on every element and its draws in the same order
+    ds = generate_synthetic(n, dim, rates, seed)
+    want = reference_synthetic_arrays(n, dim, rates, seed)
+    assert ds.features.tobytes() == want[0].tobytes()
+    assert np.array_equal(ds.labels, want[1]) and np.array_equal(ds.sensitive, want[2])
 
 
 def test_synthetic_seed_changes_draw():

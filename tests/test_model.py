@@ -531,16 +531,42 @@ def test_sigmoid_equals_the_piecewise_reference():
         got, want = _sigmoid(z), reference_sigmoid(z)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31), perm_seed=st.integers(0, 2**31))
-def test_cached_canonical_order_equals_reference(seed, perm_seed):
+# how the first feature column of a canonical-order case ties: the fast
+# path sorts that column alone and must see every tie the lexsort breaks
+_ORDER_CASES = ("repeated rows", "tie-free", "integer first column", "one-hot", "signed zeros", "one signed-zero tie")
+
+
+def _order_case(case, seed, perm_seed):
     ds = coverage_dataset(30, 3, seed=seed % 4096)
-    # repeated rows exercise the label and group tie-breaks
-    shuffled = ds.subset(np.random.default_rng(perm_seed).integers(0, 30, 45))
+    rng = np.random.default_rng(perm_seed)
+    if case == "repeated rows":  # the label and group tie-breaks
+        return ds.subset(rng.integers(0, 30, 45))
+    X = np.array(ds.features)
+    if case == "integer first column":  # rows tie on column 0 and differ later
+        X[:, 0] = rng.integers(-2, 3, 30)
+    elif case == "one-hot":  # every feature ties: label and group decide
+        X[:] = np.eye(3)[rng.integers(0, 3, 30)]
+    elif case == "signed zeros":
+        X[:, 0] = rng.choice([0.0, -0.0, 1.0], 30)
+    elif case == "one signed-zero tie":  # -0.0 == 0.0 is the only tie
+        X[:2, 0] = (0.0, -0.0)
+    perm = rng.permutation(30)
+    return TabularDataset(X[perm], ds.labels[perm], ds.sensitive[perm])
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(_ORDER_CASES), seed=st.integers(0, 2**31), perm_seed=st.integers(0, 2**31))
+def test_cached_canonical_order_equals_reference(case, seed, perm_seed):
+    shuffled = _order_case(case, seed, perm_seed)
     order = shuffled.canonical_order
     assert np.array_equal(order, reference_canonical_order(shuffled))
     assert shuffled.canonical_order is order
     assert not order.flags.writeable
+
+
+def test_canonical_order_without_features_sorts_by_label_and_group():
+    ds = TabularDataset(np.zeros((4, 0)), [1, 0, 1, 0], [1, 1, 0, 0])
+    assert ds.canonical_order.tolist() == reference_canonical_order(ds).tolist() == [3, 1, 2, 0]
 
 
 def test_two_point_separable_descent_is_monotone():
