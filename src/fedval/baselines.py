@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import ClientProfile
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
-from .model import ModelParams, TrainConfig, gradient, loss, train_client
+from .model import ModelParams, TrainConfig, gradient, loss, train_clients
 from .server import AggregationWeights, RoundInfo, aggregate
 
 
@@ -118,11 +118,8 @@ def _unflat(vec: np.ndarray) -> ModelParams:
 def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
     """Local SGD everywhere, then average weighted by shard size."""
     ordered = _ordered(clients)
-    models, losses = [], {}
-    for c in ordered:
-        m = train_client(global_params, c, train_cfg)
-        models.append(m)
-        losses[c.client_id] = loss(m, c.data)
+    models = train_clients(global_params, ordered, train_cfg)
+    losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
     total = sum(c.n for c in ordered)
     weights = AggregationWeights(
         tuple(c.client_id for c in ordered),
@@ -211,8 +208,7 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     ordered = _ordered(clients)
     global_flat = _flat(global_params)
     deltas, hs, losses, extras = [], [], {}, {}
-    for c in ordered:
-        local = train_client(global_params, c, train_cfg)
+    for c, local in zip(ordered, train_clients(global_params, ordered, train_cfg)):
         f = loss(global_params, c.data)
         dw = qcfg.lipschitz * (global_flat - _flat(local))
         delta, h, _ = _q_terms(f, dw, qcfg, c.client_id)

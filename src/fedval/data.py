@@ -350,7 +350,9 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
             col = features[:, offset]
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    std = col.std()
+                    # a constant column can have a tiny or overflowing float
+                    # std; min == max decides that its variance is zero
+                    std = 0.0 if col.min() == col.max() else col.std()
                     features[:, offset] = 0.0 if std == 0.0 else (col - col.mean()) / std
             except FloatingPointError:
                 raise DataError(

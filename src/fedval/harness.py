@@ -342,9 +342,13 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one variant")
         if not self.replicate_seeds:
             raise ConfigError("sweep needs at least one replicate seed")
-        names = [v.name for v in self.variants]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate variant names: {names}")
+        for what, values in (
+            ("cooperative counts", self.cooperative_counts),
+            ("variant names", [v.name for v in self.variants]),
+            ("replicate seeds", self.replicate_seeds),
+        ):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {what}: {list(values)}")
 
     @staticmethod
     def from_dict(raw) -> "SweepSpec":
@@ -392,10 +396,11 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
     """Run the sweep grid and summarize final-round metrics per cell group.
 
     Each (count, variant) pair gets one summary row with mean and sample
-    stddev over its replicate seeds.  A failing cell is recorded and the
-    sweep continues.  Cooperative clients take the low ids; the remaining
-    clients reuse the base config's uncooperative skew (or a 0.2-ratio
-    default when the base has none).
+    stddev over its replicate seeds.  A cell that fails with a FedValError
+    or an OSError is recorded and the sweep continues; an OSError on the
+    sweep's own directory or on summary.csv propagates.  Cooperative
+    clients take the low ids; the remaining clients reuse the base config's
+    uncooperative skew (or a 0.2-ratio default when the base has none).
     """
     k = len(base.clients)
     for count in spec.cooperative_counts:
@@ -431,7 +436,7 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
                         "eod": last.global_eod,
                     }
                     cells.append(CellResult(count, variant.name, seed, run_dir, final))
-                except FedValError as exc:
+                except (FedValError, OSError) as exc:  # one cell's failure; the others still run
                     cells.append(
                         CellResult(count, variant.name, seed, None, None, error=str(exc))
                     )

@@ -2,7 +2,8 @@
 
 The model is deliberately minimal: sigmoid(w.x + b), cross-entropy loss,
 analytic gradients, no regularization, no momentum.  `client_update` is the
-local training step each simulated client runs on its own shard.
+local training step each simulated client runs on its own shard;
+`train_clients` runs it for every client of a round.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .codec import FLOAT, Section, list_of, read_json, write_json
 from .data import TabularDataset
 from .errors import ConfigError, EmptyDatasetError, NumericOverflowError, ShapeError
-from .seeding import derive_seed
+from .seeding import client_generators, derive_seed
 
 # probabilities are clamped to this band inside the loss so that a fully
 # saturated wrong prediction stays finite
@@ -233,15 +234,17 @@ def gradient(params: ModelParams, dataset: TabularDataset):
     return grad_w, grad_b
 
 
-def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) -> ModelParams:
+def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig, rng=None) -> ModelParams:
     """Run `cfg.epochs` of seeded mini-batch SGD from `params` on `local`.
 
     Rows are brought into a canonical order before shuffling, so permuting
     the input produces a bit-identical result.  The last partial batch is
-    trained like any other.  The input params are never modified.
+    trained like any other.  The input params are never modified.  The
+    shuffles draw from `rng`; without one, from `default_rng(cfg.seed)`.
     """
     _check_dim(params, local)
-    rng = np.random.default_rng(cfg.seed)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
     order = local.canonical_order
     features = local.features
     labels = local.labels.astype(np.float64)
@@ -279,12 +282,18 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig) 
         raise NumericOverflowError(f"local SGD diverged at learning rate {lr!r}") from None
 
 
-def train_client(params: ModelParams, client, cfg: TrainConfig) -> ModelParams:
-    """`client_update` from `params` on `client`'s shard, with `cfg` reseeded for it.
+def train_clients(params: ModelParams, clients, cfg: TrainConfig) -> list[ModelParams]:
+    """`client_update` from `params` on each client's shard, in the order given.
 
-    A diverging update raises NumericOverflowError naming the client.
+    Each client trains exactly as with `client_cfg(cfg, client_id)`: its
+    generator comes from `seeding.client_generators`, which seeds the whole
+    round in one pass.  A diverging update raises NumericOverflowError
+    naming the client.
     """
-    try:
-        return client_update(params, client.data, client_cfg(cfg, client.client_id))
-    except NumericOverflowError as exc:
-        raise NumericOverflowError(f"client {client.client_id}: {exc}") from None
+    models = []
+    for client, rng in zip(clients, client_generators(cfg.seed, [c.client_id for c in clients])):
+        try:
+            models.append(client_update(params, client.data, cfg, rng=rng))
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(f"client {client.client_id}: {exc}") from None
+    return models

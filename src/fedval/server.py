@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .metrics import ObjectiveSpec, ScoreVector, objective_scores, positive_counts
-from .model import ModelParams, TrainConfig, loss, train_client
+from .model import ModelParams, TrainConfig, loss, train_clients
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,8 @@ def fedval_round(
     client's loss at its own local model.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
-    updated = [(c.client_id, train_client(global_params, c, train_cfg)) for c in ordered]
+    models = train_clients(global_params, ordered, train_cfg)
+    updated = [(c.client_id, m) for c, m in zip(ordered, models)]
     scores = score_clients(global_params, updated, validation, spec, alpha)
 
     if rank_cfg.enabled:
@@ -262,7 +263,7 @@ def fedval_round(
         new_state = state
         weights = make_weights(scores)
 
-    new_global = aggregate([m for _, m in updated], weights)
-    losses = {cid: loss(model, c.data) for c, (cid, model) in zip(ordered, updated)}
+    new_global = aggregate(models, weights)
+    losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
     rank = new_state if rank_cfg.enabled else None
     return new_global, new_state, RoundInfo(weights, losses, {}, scores, rank)

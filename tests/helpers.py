@@ -13,7 +13,7 @@ from fedval.errors import (
     ShapeError,
 )
 from fedval.metrics import _BLOCK, OBJECTIVE_KINDS
-from fedval.model import _CLAMP, ModelParams, classify, is_positive
+from fedval.model import _CLAMP, ModelParams, classify, client_cfg, client_update, is_positive
 
 
 def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
@@ -118,6 +118,12 @@ def reference_synthetic_arrays(n, dim, group_positive_rates, seed):
     features = centers + rng.standard_normal((n, dim))
     perm = rng.permutation(n)
     return features[perm], labels[perm], groups[perm]
+
+
+def reference_train_clients(params, clients, cfg):
+    """One `client_update` per client on the public path: the client's own
+    TrainConfig from `client_cfg`, and `default_rng` of its seed."""
+    return [client_update(params, c.data, client_cfg(cfg, c.client_id)) for c in clients]
 
 
 def reference_client_update(params, local, cfg):

@@ -602,6 +602,52 @@ def test_sweep_records_a_variant_with_a_nul_byte_as_a_failed_cell(tmp_path, caps
     ]
 
 
+def test_sweep_records_a_cell_whose_directory_cannot_be_made_as_a_failed_cell(tmp_path, capsys):
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "coop000_rank_seed5").write_text("not a directory")  # mkdir: File exists
+    spec = write_json(tmp_path / "sweep.json", raw)
+    assert main(["sweep", str(spec)]) == EXIT_OK
+    with open(tmp_path / "sweep" / "summary.csv", newline="", encoding="utf-8") as fh:
+        ok = {row["cooperative_count"]: row["replicates_ok"] for row in csv.DictReader(fh)}
+    assert ok == {"0": "0", "3": "1"}
+    assert (tmp_path / "sweep" / "coop003_rank_seed5" / "rounds.jsonl").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["sweep", "sweep/summary.csv"])
+def test_sweep_whose_own_directory_or_summary_cannot_be_written_is_a_runtime_error(tmp_path, capsys, blocked):
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    if blocked == "sweep":
+        (tmp_path / "sweep").write_text("not a directory")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)  # open() of summary.csv: Is a directory
+    spec = write_json(tmp_path / "sweep.json", raw)
+    assert main(["sweep", str(spec)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / blocked) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, values, message",
+    [
+        ("replicate_seeds", [3, 3], "duplicate replicate seeds: [3, 3]"),
+        ("cooperative_counts", [1, 0, 1], "duplicate cooperative counts: [1, 0, 1]"),
+    ],
+)
+def test_sweep_with_a_duplicate_count_or_seed_is_a_config_error(tmp_path, capsys, key, values, message):
+    # a duplicate would run the same cell twice and average over copies
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    raw[key] = values
+    spec = write_json(tmp_path / "sweep.json", raw)
+    assert main(["sweep", str(spec)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize("strategy", ["fedval", "fedavg", "qfedavg", "afl"])
 def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy, tmp_path, capsys):
     raw = _fuzz_base(strategy)

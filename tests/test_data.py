@@ -256,6 +256,17 @@ def test_load_csv_zero_variance_column_becomes_zero(tmp_path, adult_schema):
     assert ds.features[:, 0].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("cell", ["0.1", "1e308", "-1.7976931348623157e308", "5e-324"])
+def test_load_csv_constant_column_becomes_zero_whatever_its_float_std(tmp_path, adult_schema, cell):
+    # three 0.1 cells have a float std of about 1.4e-17, not 0, and three
+    # 1e308 cells overflow the mean; both columns are constant
+    path = tmp_path / "flat.csv"
+    rows = [f"{cell},Private,>50K,Male", f"{cell},Self-emp,<=50K,Female", f"{cell},Private,<=50K,Male"]
+    path.write_text("age,workclass,income,sex\n" + "\n".join(rows) + "\n")
+    ds = load_csv(path, adult_schema)
+    assert ds.features[:, 0].tolist() == [0.0, 0.0, 0.0]
+
+
 def test_load_csv_strips_whitespace(tmp_path, adult_schema):
     path = tmp_path / "sp.csv"
     path.write_text("age,workclass,income,sex\n 39 , Private , >50K , Male \n30,Self-emp,<=50K,Female\n")

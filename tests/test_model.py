@@ -21,7 +21,7 @@ from fedval.model import (
     is_positive,
     loss,
     predict_proba,
-    train_client,
+    train_clients,
 )
 from fedval.seeding import derive_seed
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     reference_model_params,
     reference_proba,
     reference_sigmoid,
+    reference_train_clients,
 )
 
 # Frozen oracle values, computed by hand from the closed forms.
@@ -582,23 +583,62 @@ def test_two_point_separable_descent_is_monotone():
 
 def test_diverging_local_sgd_names_the_client_and_the_rate():
     # the error is built from ModelParams' finiteness check on the result,
-    # so no SGD step gains a check of its own
+    # so no SGD step gains a check of its own.  Client 2 has zero features
+    # and balanced labels in one full batch, so its step is exactly zero at
+    # any rate; client 4 is the first in id order to diverge
+    steady = ClientProfile(2, "normal", TabularDataset(np.zeros((4, 3)), [1, 0, 1, 0], [1, 1, 0, 0]))
     client = ClientProfile(4, "cooperative", coverage_dataset(200, 3, seed=1))
-    cfg = TrainConfig(lr=1e308)
+    later = ClientProfile(7, "normal", coverage_dataset(50, 3, seed=2))
+    cfg = TrainConfig(batch_size=4, lr=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericOverflowError, match=r"^local SGD diverged at learning rate 1e\+308$"):
             client_update(ModelParams.zeros(3), client.data, cfg)
+        (kept,) = train_clients(ModelParams.zeros(3), [steady], cfg)
         with pytest.raises(NumericOverflowError) as got:
-            train_client(ModelParams.zeros(3), client, cfg)
+            train_clients(ModelParams.zeros(3), [steady, client, later], cfg)
+    assert kept.weights.tolist() == [0.0, 0.0, 0.0] and kept.bias == 0.0
     assert str(got.value) == "client 4: local SGD diverged at learning rate 1e+308"
     with pytest.raises(ShapeError, match="expects 2 features"):  # not an overflow
-        train_client(ModelParams.zeros(2), client, cfg)
+        train_clients(ModelParams.zeros(2), [client], cfg)
 
 
-def test_train_client_is_client_update_with_the_per_client_config():
-    client = ClientProfile(3, "normal", coverage_dataset(50, 2, seed=6))
+def test_train_clients_is_client_update_with_each_per_client_config():
+    clients = [ClientProfile(cid, "normal", coverage_dataset(n, 2, seed=cid)) for cid, n in ((3, 50), (8, 17))]
     cfg = TrainConfig(epochs=2, batch_size=8, lr=0.3, seed=11)
     start = random_params(2, seed=2)
-    got = train_client(start, client, cfg)
-    want = client_update(start, client.data, client_cfg(cfg, 3))
-    assert got.weights.tobytes() == want.weights.tobytes() and got.bias == want.bias
+    got = train_clients(start, clients, cfg)
+    assert len(got) == 2
+    for c, m in zip(clients, got):
+        want = client_update(start, c.data, client_cfg(cfg, c.client_id))
+        assert m.weights.tobytes() == want.weights.tobytes() and m.bias == want.bias
+    assert train_clients(start, [], cfg) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    dim=st.integers(1, 5),
+    epochs=st.integers(1, 3),
+    batch_size=st.integers(1, 40),
+    lr=st.sampled_from((0.01, 0.3, 2.0)),
+    seed=st.integers(-(2**70), 2**70),
+    data_seed=st.integers(0, 2**31),
+)
+@example(sizes=[33, 32, 1], dim=3, epochs=2, batch_size=32, lr=0.3, seed=0, data_seed=0)
+@example(sizes=[320, 82, 320, 7], dim=8, epochs=3, batch_size=7, lr=0.01, seed=-1, data_seed=5)
+def test_train_clients_equals_the_per_client_updates(sizes, dim, epochs, batch_size, lr, seed, data_seed):
+    # exactness bound: none.  The batched generators start where
+    # default_rng(client_cfg(cfg, cid).seed) does, so every shuffle, and so
+    # every bit of every model, matches the per-client path.  Ids are
+    # distinct but neither sorted nor dense
+    rng = np.random.default_rng(data_seed)
+    ids = rng.choice(10_000, size=len(sizes), replace=False).tolist()
+    clients = []
+    for cid, n in zip(ids, sizes):
+        ds = TabularDataset(rng.standard_normal((n, dim)), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        clients.append(ClientProfile(cid, "normal", ds))
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
+    start = random_params(dim, seed=data_seed)
+    got = train_clients(start, clients, cfg)
+    want = reference_train_clients(start, clients, cfg)
+    assert [(m.weights.tobytes(), m.bias) for m in got] == [(m.weights.tobytes(), m.bias) for m in want]
