@@ -26,7 +26,7 @@ import numpy as np
 from .data import ClientProfile
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from .model import ModelParams, TrainConfig, gradient, loss, train_clients
-from .server import AggregationWeights, RoundInfo, aggregate
+from .server import AggregationWeights, RoundInfo, _pow, aggregate
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,10 @@ class AFLState:
     lr_lambda: float = 0.1
 
     def __post_init__(self):
-        ids = tuple(int(c) for c in self.client_ids)
-        lam = tuple(float(v) for v in self.lam)
-        object.__setattr__(self, "client_ids", ids)
-        object.__setattr__(self, "lam", lam)
-        if len(ids) != len(lam) or not ids:
-            raise ConfigError("lambda must align with a non-empty client list")
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"duplicate client ids: {ids}")
-        for v in lam:
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"lambda entries must be finite and >= 0, got {v}")
-        if abs(sum(lam) - 1.0) > 1e-12:
-            raise ConfigError(f"lambda sums to {sum(lam)!r}, not 1")
+        # the mixture is a probability vector over clients, checked as aggregation weights are
+        mixture = AggregationWeights(self.client_ids, self.lam)
+        object.__setattr__(self, "client_ids", mixture.client_ids)
+        object.__setattr__(self, "lam", mixture.p)
         if not (self.lr_lambda > 0 and math.isfinite(self.lr_lambda)):
             raise ConfigError(f"lr_lambda must be positive, got {self.lr_lambda}")
 
@@ -138,13 +129,6 @@ def _check_finite(value, client_id, what):
     return value
 
 
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return base**exponent
-    except OverflowError:  # float ** raises where * and + give inf
-        return math.inf
-
-
 def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
     """q-FFL's delta_k = F**q * direction and h_k = q F**(q-1) |direction|^2 + L F**q.
 
@@ -152,9 +136,11 @@ def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
     raises NumericOverflowError naming the client and the term.
     """
     fq = _check_finite(_pow(f, qcfg.q), client_id, "F**q")
-    with np.errstate(over="ignore"):  # an overflowing product is reported just below
+    # an overflowing product or norm is reported below, as is the nan of an
+    # underflowed F**q times an overflowed direction
+    with np.errstate(over="ignore", invalid="ignore"):
         delta = _check_finite(fq * direction, client_id, "delta")
-    norm2 = float(direction @ direction)
+        norm2 = float(direction @ direction)
     if qcfg.q == 0:
         h = qcfg.lipschitz * fq
     else:
@@ -164,17 +150,43 @@ def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
 
 def _q_step(global_flat: np.ndarray, ordered, deltas, hs, qcfg: QConfig):
     """The server's q-FFL move by sum(delta) / sum(h), with the weights h / sum(h)."""
-    total_h = float(np.sum(hs))
+    # a zero or overflowing sum, and a step that leaves the float range, are reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total_h = float(np.sum(hs))
+        new_flat = global_flat - np.sum(deltas, axis=0) / total_h
     if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
         raise DegenerateWeightsError(
             f"q-FFL weights sum to {total_h} at q={qcfg.q}: every h_k underflowed; reduce q"
         )
-    step = np.sum(deltas, axis=0) / total_h
+    if not (total_h < math.inf and np.isfinite(new_flat).all()):
+        raise NumericOverflowError(
+            f"q-FFL server step overflowed at q={qcfg.q}; reduce q or the Lipschitz estimate"
+        )
     weights = AggregationWeights(
         tuple(c.client_id for c in ordered),
         tuple(float(h) / total_h for h in hs),
     )
-    return _unflat(global_flat - step), weights
+    return _unflat(new_flat), weights
+
+
+def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
+    """One q-FFL round from each client's update direction, in `ordered`'s order.
+
+    Each client's loss F_k is taken at the incoming global model; `_q_terms`
+    turns it and the client's direction into delta_k and h_k, and `_q_step`
+    moves the global model.  `extras` holds each client's |direction|^2
+    and h_k.
+    """
+    deltas, hs, losses, extras = [], [], {}, {}
+    for c, direction in zip(ordered, directions):
+        f = loss(global_params, c.data)
+        delta, h, norm2 = _q_terms(f, direction, qcfg, c.client_id)
+        deltas.append(delta)
+        hs.append(h)
+        losses[c.client_id] = f
+        extras[c.client_id] = {"grad_norm_sq": norm2, "h": float(h)}
+    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
+    return new_global, RoundInfo(weights, losses, extras)
 
 
 def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
@@ -185,17 +197,9 @@ def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
     gradients are all evaluated at the incoming global model.
     """
     ordered = _ordered(clients)
-    deltas, hs, losses, extras = [], [], {}, {}
-    for c in ordered:
-        f = loss(global_params, c.data)
-        gw, gb = gradient(global_params, c.data)
-        delta, h, gnorm2 = _q_terms(f, np.concatenate([gw, [gb]]), qcfg, c.client_id)
-        deltas.append(delta)
-        hs.append(h)
-        losses[c.client_id] = f
-        extras[c.client_id] = {"grad_norm_sq": gnorm2, "h": float(h)}
-    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
-    return new_global, RoundInfo(weights, losses, extras)
+    # lazily, so each shard's gradient and loss run back to back and share one pass
+    grads = (gradient(global_params, c.data) for c in ordered)
+    return _q_round(global_params, ordered, (np.concatenate([gw, [gb]]) for gw, gb in grads), qcfg)
 
 
 def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, qcfg: QConfig):
@@ -207,17 +211,10 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     """
     ordered = _ordered(clients)
     global_flat = _flat(global_params)
-    deltas, hs, losses, extras = [], [], {}, {}
-    for c, local in zip(ordered, train_clients(global_params, ordered, train_cfg)):
-        f = loss(global_params, c.data)
-        dw = qcfg.lipschitz * (global_flat - _flat(local))
-        delta, h, _ = _q_terms(f, dw, qcfg, c.client_id)
-        deltas.append(delta)
-        hs.append(h)
-        losses[c.client_id] = f
-        extras[c.client_id] = {"h": float(h)}
-    new_global, weights = _q_step(global_flat, ordered, deltas, hs, qcfg)
-    return new_global, RoundInfo(weights, losses, extras)
+    models = train_clients(global_params, ordered, train_cfg)
+    with np.errstate(over="ignore"):  # an overflowing direction is reported as its client's delta
+        directions = [qcfg.lipschitz * (global_flat - _flat(m)) for m in models]
+    return _q_round(global_params, ordered, directions, qcfg)
 
 
 def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: TrainConfig):

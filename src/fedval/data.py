@@ -352,8 +352,15 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
                 with np.errstate(over="raise", invalid="raise"):
                     # a constant column can have a tiny or overflowing float
                     # std; min == max decides that its variance is zero
-                    std = 0.0 if col.min() == col.max() else col.std()
-                    features[:, offset] = 0.0 if std == 0.0 else (col - col.mean()) / std
+                    if col.min() == col.max():
+                        features[:, offset] = 0.0
+                    else:
+                        # distinct values whose squared deviations underflow
+                        # are standardized on the column scaled to a largest
+                        # magnitude of 1, which the z-scores do not change
+                        if col.var() < np.finfo(np.float64).tiny:
+                            col = col / np.abs(col).max()
+                        features[:, offset] = (col - col.mean()) / col.std()
             except FloatingPointError:
                 raise DataError(
                     f"{path}: column {spec.name!r}: values too large to standardize "

@@ -226,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     with RoundWriter(out) as writer:
         for t in range(1, cfg.rounds + 1):
-            # replace(cfg.train, seed=...), built directly as model.client_cfg does
+            # replace(cfg.train, seed=...), built directly: replace costs more per round
             train = cfg.train
             round_cfg = TrainConfig(
                 train.epochs, train.batch_size, train.lr, derive_seed(cfg.seed, "round", t)
@@ -349,6 +349,10 @@ class SweepSpec:
         ):
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate {what}: {list(values)}")
+        # each cell's directory name holds its variant's name
+        for v in self.variants:
+            if v.name in ("", ".", "..") or "/" in v.name or "\\" in v.name:
+                raise ConfigError(f"variant name {v.name!r} must be one plain path component")
 
     @staticmethod
     def from_dict(raw) -> "SweepSpec":

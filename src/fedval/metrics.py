@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import GROUP_A, GROUP_D, TabularDataset
 from .errors import ConfigError, MissingGroupError, MissingPositivesError, ShapeError
-from .model import ModelParams, classify, is_positive
+from .model import ModelParams, is_positive
 
 OBJECTIVE_KINDS = ("accuracy", "spd", "eod")
 
@@ -76,67 +76,56 @@ def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
     raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
 
 
-def _cell_counts(predictions: np.ndarray, dataset: TabularDataset) -> np.ndarray:
-    """Positive predictions per cell of `data.CELLS`, exact integers in float64.
-
-    `predictions` holds the 0/1 (or boolean) labels of one model as (n,) or
-    of K models as (K, n); the counts come back as (4,) or (K, 4).
-    """
-    return predictions @ dataset.cells
-
-
-# the cell counts of the last model `_global_metric` classified: weak
+# the cell counts of the last model `_global_counts` classified: weak
 # references to its params and dataset, and the counts.  As with
 # `model._last_pass`, a reference whose object is gone never matches, and
 # the slot keeps no finished experiment's data alive.
 _last_counts = None
 
 
-def _global_metric(kind: str, params: ModelParams, dataset: TabularDataset) -> float:
-    # one classification per (model, dataset): accuracy, spd and eod of the
-    # same model share it.  The four cell counts are kept as Python floats,
-    # whose arithmetic is float64's without numpy's per-scalar dispatch
+def _global_counts(params: ModelParams, dataset: TabularDataset):
+    """`positive_counts` of the one model `params`, and the cell sizes.
+
+    One classification per (model, dataset): accuracy, spd and eod of the
+    same model share it.  The four counts and sizes are Python floats,
+    whose arithmetic is float64's without numpy's per-scalar dispatch.
+    """
     global _last_counts
     last = _last_counts
     if last is not None and last[0]() is params and last[1]() is dataset:
         counts = last[2]
     else:
-        counts = tuple(_cell_counts(classify(params, dataset.features), dataset).tolist())
+        counts, _ = positive_counts(params.weights[None], np.array([params.bias]), dataset)
+        counts = tuple(counts[:, 0].tolist())
         _last_counts = (weakref.ref(params), weakref.ref(dataset), counts)
-    return _metric_values(kind, counts, dataset.cell_sizes.tolist())
+    return counts, dataset.cell_sizes.tolist()
 
 
 def accuracy(params: ModelParams, dataset: TabularDataset) -> float:
     """Fraction of rows classified correctly."""
-    return _global_metric("accuracy", params, dataset)
+    return _metric_values("accuracy", *_global_counts(params, dataset))
 
 
 def spd(params: ModelParams, dataset: TabularDataset) -> float:
     """Absolute gap in positive prediction rate between the two groups."""
-    return _global_metric("spd", params, dataset)
+    return _metric_values("spd", *_global_counts(params, dataset))
 
 
 def eod(params: ModelParams, dataset: TabularDataset) -> float:
     """Absolute true-positive-rate gap between the two groups."""
-    return _global_metric("eod", params, dataset)
+    return _metric_values("eod", *_global_counts(params, dataset))
 
 
 def objective_score(kind: str, params: ModelParams, validation: TabularDataset) -> float:
     """Higher-is-better score in [0, 1] for one objective kind."""
-    if kind == "accuracy":
-        return accuracy(params, validation)
-    if kind == "spd":
-        return 1.0 - spd(params, validation)
-    if kind == "eod":
-        return 1.0 - eod(params, validation)
-    raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
+    return objective_scores(kind, *_global_counts(params, validation))
 
 
 def positive_counts(weights: np.ndarray, biases: np.ndarray, dataset: TabularDataset):
     """Positive predictions of K logistic models per (group, label) cell.
 
     `weights` is (K, d) and `biases` (K,).  The models are classified a few
-    at a time with `classify`'s rule, so the pass never holds more than a
+    at a time with `is_positive`'s rule, so the pass never holds more than a
     narrow block of predictions.  Returns the (4, K) counts and the (4,)
     cell sizes, both exact integers in float64.
     """
@@ -144,7 +133,7 @@ def positive_counts(weights: np.ndarray, biases: np.ndarray, dataset: TabularDat
         raise ShapeError(f"features must be (n, {weights.shape[1]}), got {dataset.features.shape}")
     counts = np.empty((len(weights), dataset.cells.shape[1]))
     for block, logits in _block_logits(weights, biases, dataset):
-        counts[block] = _cell_counts(is_positive(logits), dataset)
+        counts[block] = is_positive(logits).dot(dataset.cells)
     return counts.T, dataset.cell_sizes
 
 
@@ -161,17 +150,19 @@ def _block_logits(weights: np.ndarray, biases: np.ndarray, dataset: TabularDatas
     for start in range(0, len(weights), _BLOCK):
         block = slice(start, start + _BLOCK)
         w = weights[block]
-        logits = w @ (dataset.features_t if contiguous and len(w) > 1 else dataset.features.T)
+        # w.dot(m) is the product w @ m, bit for bit, with less dispatch
+        logits = w.dot(dataset.features_t if contiguous and len(w) > 1 else dataset.features.T)
         logits += biases[block, None]  # in place: the same sum without a second (block, n) array
         yield block, logits
 
 
 def objective_scores(kind: str, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """`objective_score` of every model from its `positive_counts`, as a (K,) array.
+    """Higher-is-better score of every model from its `positive_counts`.
 
-    The values come from the same cell-count formulas as `accuracy`, `spd`
-    and `eod`, and the gaps become 1 - gap as in `objective_score`, so the
-    two agree bit for bit.
+    The values come from the cell-count formulas of `accuracy`, `spd` and
+    `eod`, and the gaps become 1 - gap.  Four (K,) count arrays give a (K,)
+    array; the four floats of one model, as `objective_score` passes them,
+    give a float.
     """
     values = _metric_values(kind, counts, sizes)
     return values if kind == "accuracy" else 1.0 - values

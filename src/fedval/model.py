@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import FLOAT, Section, list_of, read_json, write_json
 from .data import TabularDataset
-from .errors import ConfigError, EmptyDatasetError, NumericOverflowError, ShapeError
+from .errors import ConfigError, NumericOverflowError, ShapeError
 from .seeding import client_generators, derive_seed
 
 # probabilities are clamped to this band inside the loss so that a fully
@@ -101,8 +101,9 @@ class TrainConfig:
 def client_cfg(cfg: TrainConfig, client_id: int) -> TrainConfig:
     """The per-client view of a round's TrainConfig (reseeded per client).
 
-    Equal to `dataclasses.replace(cfg, seed=...)`, built directly because
-    it runs once per client per round.
+    Equal to `dataclasses.replace(cfg, seed=...)`.  Only tests call it: the
+    round path, `train_clients`, seeds every client of a round in one pass
+    and trains each exactly as with this config.
     """
     return TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, derive_seed(cfg.seed, "client", client_id))
 
@@ -132,18 +133,17 @@ def _checked(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return X
 
 
-def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    # X @ w + b: X.dot(w) is the same gemv with less dispatch, and the bias
-    # is added in place
-    z = _checked(params, features).dot(params.weights)
+def _logits(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    # X @ w + b for an X already checked: X.dot(w) is the same gemv with
+    # less dispatch, and the bias is added in place
+    z = X.dot(params.weights)
     z += params.bias
     return z
 
 
 def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
     # sigmoid(X @ w + b), written over the logits, for an X already checked
-    z = X.dot(params.weights)
-    z += params.bias
+    z = _logits(params, X)
     return _sigmoid(z, out=z)
 
 
@@ -197,14 +197,12 @@ def is_positive(logits: np.ndarray) -> np.ndarray:
 
 def classify(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Hard labels; a probability of exactly 0.5 counts positive."""
-    return is_positive(_logits(params, features)).astype(np.int64)
+    return is_positive(_logits(params, _checked(params, features))).astype(np.int64)
 
 
 def loss(params: ModelParams, dataset: TabularDataset) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
     n = dataset.n
-    if n == 0:
-        raise EmptyDatasetError("loss needs at least one row")
     _check_dim(params, dataset)
     p = np.maximum(_dataset_proba(params, dataset), _CLAMP)
     np.minimum(p, _CLAMP_HI, out=p)
@@ -222,8 +220,6 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
 def gradient(params: ModelParams, dataset: TabularDataset):
     """Analytic loss gradient: (mean (p - y) x, mean (p - y))."""
     n = dataset.n
-    if n == 0:
-        raise EmptyDatasetError("gradient needs at least one row")
     _check_dim(params, dataset)
     err = _dataset_proba(params, dataset) - dataset.labels
     # features.T @ err, not err.dot(features): on a one-row shard the dot

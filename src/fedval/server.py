@@ -173,6 +173,14 @@ def score_clients(
     return ScoreVector(tuple(ids), tuple(composite.tolist()), raw)
 
 
+def _pow(base: float, exponent: float) -> float:
+    """`base ** exponent` on floats, inf where the result leaves the float range."""
+    try:
+        return base**exponent
+    except OverflowError:  # float ** raises where * and + give inf
+        return math.inf
+
+
 def rank_update(scores: ScoreVector, state: RankState, cfg: RankingConfig) -> RankState:
     """Add one round of geometric rank mass, worst score first.
 
@@ -186,10 +194,7 @@ def rank_update(scores: ScoreVector, state: RankState, cfg: RankingConfig) -> Ra
     rs = dict(state.rs)
     for position, i in enumerate(order):
         cid = scores.client_ids[i]
-        try:
-            mass = rs.get(cid, 0.0) + cfg.initial_step * cfg.step_size**position
-        except OverflowError:  # float ** raises where * and + give inf
-            mass = math.inf
+        mass = rs.get(cid, 0.0) + cfg.initial_step * _pow(cfg.step_size, position)
         if not math.isfinite(mass):
             raise NumericOverflowError(
                 f"rank mass of client {cid} overflows at rank position {position} "
@@ -256,14 +261,9 @@ def fedval_round(
     updated = [(c.client_id, m) for c, m in zip(ordered, models)]
     scores = score_clients(global_params, updated, validation, spec, alpha)
 
-    if rank_cfg.enabled:
-        new_state = rank_update(scores, state, rank_cfg)
-        weights = make_weights(scores, new_state)
-    else:
-        new_state = state
-        weights = make_weights(scores)
+    rank = rank_update(scores, state, rank_cfg) if rank_cfg.enabled else None
+    weights = make_weights(scores, rank)
 
     new_global = aggregate(models, weights)
     losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
-    rank = new_state if rank_cfg.enabled else None
-    return new_global, new_state, RoundInfo(weights, losses, {}, scores, rank)
+    return new_global, state if rank is None else rank, RoundInfo(weights, losses, {}, scores, rank)

@@ -304,6 +304,39 @@ def reference_afl_step(global_params, state, lr, grads, losses):
 
 
 # ---------------------------------------------------------------------------
+# reference for q-FFL's server step
+# ---------------------------------------------------------------------------
+
+
+def reference_q_round(global_params, clients, directions, qcfg):
+    """One q-FFL round as a plain loop over the clients in ascending id.
+
+    `directions` maps each client id to its flat update direction d_k.  With
+    F_k the loss at `global_params`, delta_k = F_k**q * d_k and
+    h_k = q F_k**(q-1) |d_k|^2 + L F_k**q (L F_k**q alone at q = 0); the
+    flat model moves by sum(delta) / sum(h), each sum taken by np.sum.
+    Returns the new model, the weights h_k / sum(h) by id, the losses and
+    the extras.
+    """
+    q, L = qcfg.q, qcfg.lipschitz
+    deltas, hs, losses, extras = [], {}, {}, {}
+    for c in sorted(clients, key=lambda c: c.client_id):
+        f = reference_loss(global_params, c.data)
+        d = directions[c.client_id]
+        norm2 = float(d @ d)
+        h = L * f**q if q == 0 else q * f ** (q - 1.0) * norm2 + L * f**q
+        deltas.append(f**q * d)
+        hs[c.client_id] = h
+        losses[c.client_id] = f
+        extras[c.client_id] = {"grad_norm_sq": norm2, "h": h}
+    total_h = float(np.sum(list(hs.values())))
+    flat = np.concatenate([global_params.weights, [global_params.bias]])
+    vec = flat - np.sum(deltas, axis=0) / total_h
+    weights = {cid: h / total_h for cid, h in hs.items()}
+    return ModelParams(vec[:-1], float(vec[-1])), weights, losses, extras
+
+
+# ---------------------------------------------------------------------------
 # references for the per-client bookkeeping and the scoring layout
 # ---------------------------------------------------------------------------
 

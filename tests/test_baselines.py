@@ -20,7 +20,15 @@ from fedval.baselines import (
 from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
 from fedval.errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
-from helpers import coverage_dataset, random_params, reference_afl_step, reference_project_simplex
+from helpers import (
+    coverage_dataset,
+    random_params,
+    reference_afl_step,
+    reference_gradient,
+    reference_project_simplex,
+    reference_q_round,
+    reference_train_clients,
+)
 
 
 def _flat(params):
@@ -50,9 +58,9 @@ def test_qconfig_validation():
 def test_afl_state_uniform_and_validation():
     s = AFLState.uniform((0, 1, 2, 3))
     assert s.lam == (0.25, 0.25, 0.25, 0.25)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DegenerateWeightsError):
         AFLState((0, 1), (0.6, 0.6))  # off the simplex
-    with pytest.raises(ConfigError):
+    with pytest.raises(DegenerateWeightsError):
         AFLState((0, 1), (1.2, -0.2))
     with pytest.raises(ConfigError):
         AFLState((0, 0), (0.5, 0.5))
@@ -273,6 +281,56 @@ def test_qfedavg_matches_manual_algebra(shards):
     expected = _flat(start) - np.sum(deltas, axis=0) / np.sum(hs)
     assert np.allclose(_flat(new_global), expected, atol=1e-14)
     assert info.extras[0]["h"] == pytest.approx(hs[0], rel=1e-12)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    q=st.sampled_from((0.0, 1.0, 2.0, 5.0)) | st.floats(0.0, 20.0),
+    lipschitz=st.floats(1e-2, 1e2),
+    epochs=st.integers(1, 2),
+    batch_size=st.integers(1, 40),
+)
+def test_qfed_rounds_equal_the_per_client_reference(k, dim, seed, q, lipschitz, epochs, batch_size):
+    # exactness bound: none.  Both q-FFL rounds share one round body; each
+    # must give the plain per-client loop's new model, weights, losses and
+    # extras bit for bit, with qfedsgd's direction the gradient and
+    # qfedavg's L * (w - w_k) after local SGD.  Ids are drawn unsorted.
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(3 * k)[:k].tolist()
+    clients = [
+        ClientProfile(cid, "cooperative", coverage_dataset(int(rng.integers(4, 60)), dim, seed + i))
+        for i, cid in enumerate(ids)
+    ]
+    start = random_params(dim, seed, scale=0.3)
+    qcfg = QConfig(q=q, lipschitz=lipschitz)
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=0.1, seed=seed)
+    grads = {c.client_id: reference_gradient(start, c.data) for c in ordered}
+    locals_ = reference_train_clients(start, ordered, cfg)
+    directions = {
+        "qfedsgd": {cid: np.concatenate([gw, [gb]]) for cid, (gw, gb) in grads.items()},
+        "qfedavg": {c.client_id: lipschitz * (_flat(start) - _flat(m)) for c, m in zip(ordered, locals_)},
+    }
+    rounds = {
+        "qfedsgd": lambda: qfedsgd_round(start, clients, qcfg),
+        "qfedavg": lambda: qfedavg_round(start, clients, cfg, qcfg),
+    }
+    for name, run in rounds.items():
+        new_global, info = run()
+        want_global, want_p, want_losses, want_extras = reference_q_round(start, clients, directions[name], qcfg)
+        assert _bits(_flat(new_global)) == _bits(_flat(want_global)), name
+        assert info.weights.client_ids == tuple(c.client_id for c in ordered)
+        assert _bits(info.weights.p) == _bits([want_p[c.client_id] for c in ordered]), name
+        assert {cid: _bits(v) for cid, v in info.losses.items()} == {cid: _bits(v) for cid, v in want_losses.items()}
+        got = {cid: {key: _bits(v) for key, v in e.items()} for cid, e in info.extras.items()}
+        assert got == {cid: {key: _bits(v) for key, v in e.items()} for cid, e in want_extras.items()}, name
 
 
 def test_qfed_rounds_are_deterministic(shards):

@@ -151,7 +151,10 @@ _COST_PATHS = {("rounds",), ("data", "synthetic", "n"), ("data", "synthetic", "d
 def _mutations(draw):
     path = draw(st.sampled_from(_FUZZ_PATHS))
     huge = () if path in _COST_PATHS else _HUGE
-    return path, draw(st.sampled_from((_DELETE, *_WRONG_TYPES, *_NEGATIVE, *huge)))
+    values = st.sampled_from((_DELETE, *_WRONG_TYPES, *_NEGATIVE, *huge))
+    if path == ("qfed", "lipschitz"):  # any positive estimate is valid; q-FFL's terms scale with it
+        values = values | st.floats(0.0, 1e308, exclude_min=True)
+    return path, draw(values)
 
 
 def _mutate(raw, path, value):
@@ -181,6 +184,7 @@ def _mutate(raw, path, value):
     mutations=st.lists(_mutations(), min_size=1, max_size=3),
 )
 @example(strategy="fedval", mutations=[(("data", "synthetic", "seed"), -5)])
+@example(strategy="qfedsgd", mutations=[(("qfed", "lipschitz"), 5e-324)])
 def test_run_of_a_mutated_config_exits_cleanly(strategy, mutations):
     # wrong types, negative or huge numbers and missing keys: the CLI
     # reports each as a config (2) or runtime (3) error, never a traceback
@@ -646,6 +650,39 @@ def test_sweep_with_a_duplicate_count_or_seed_is_a_config_error(tmp_path, capsys
     assert main(["sweep", str(spec)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "", "../../escape", "..", "a\\b"])
+def test_sweep_with_a_variant_name_that_is_not_one_path_component_is_a_config_error(tmp_path, capsys, name):
+    # the name is part of each cell's directory name: "a/b" made a nested
+    # directory and "../../escape" one outside the sweep's own
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "out" / "sweep")
+    raw["variants"] = [{"name": "ok", "ranking_enabled": True}, {"name": name, "ranking_enabled": False}]
+    spec = write_json(tmp_path / "sweep.json", raw)
+    assert main(["sweep", str(spec)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: variant name {name!r} must be one plain path component\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "strategy, q, message",
+    [
+        ("qfedavg", 1.0, "h overflowed for client 0; reduce q or the loss scale"),
+        ("qfedsgd", 1.0, "q-FFL server step overflowed at q=1.0; reduce q or the Lipschitz estimate"),
+        ("qfedsgd", 50.0, None),
+    ],
+)
+def test_qfed_run_with_the_largest_lipschitz_estimate_warns_nothing(tmp_path, capsys, strategy, q, message):
+    # L = 1e308 drives |L (w - w_k)|^2 and the sum of the h_k past the float
+    # range; numpy's overflow warnings (errors under this suite's settings)
+    # must not reach the user ahead of the error that names the term
+    raw = _fuzz_base(strategy)
+    raw["out_dir"] = str(tmp_path / "run")
+    raw["qfed"] = {"q": q, "lipschitz": 1e308}
+    config = write_json(tmp_path / "config.json", raw)
+    assert main(["run", str(config)]) == (EXIT_OK if message is None else EXIT_RUNTIME)
+    assert capsys.readouterr().err == ("" if message is None else f"error: {message}\n")
 
 
 @pytest.mark.parametrize("strategy", ["fedval", "fedavg", "qfedavg", "afl"])

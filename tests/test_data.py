@@ -267,6 +267,18 @@ def test_load_csv_constant_column_becomes_zero_whatever_its_float_std(tmp_path, 
     assert ds.features[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("scale", ["e-200", "e-160"])
+def test_load_csv_zscores_a_column_whose_squared_deviations_underflow(tmp_path, adult_schema, scale):
+    # ages (1, 2, 3) x 1e-200: the float variance underflows to 0; x 1e-160
+    # it is subnormal and loses digits.  Both must z-score as (1, 2, 3) do.
+    path = tmp_path / "tiny.csv"
+    rows = [f"{a}{scale},Private,>50K,Male" for a in (1, 2, 3)]
+    path.write_text("age,workclass,income,sex\n" + "\n".join(rows) + "\n")
+    ds = load_csv(path, adult_schema)
+    expected = [-(1.5**0.5), 0.0, 1.5**0.5]
+    assert ds.features[:, 0].tolist() == pytest.approx(expected, abs=1e-12)
+
+
 def test_load_csv_strips_whitespace(tmp_path, adult_schema):
     path = tmp_path / "sp.csv"
     path.write_text("age,workclass,income,sex\n 39 , Private , >50K , Male \n30,Self-emp,<=50K,Female\n")

@@ -255,6 +255,18 @@ def test_preset_names_are_sorted_and_buildable():
         assert cfg.out_dir.endswith(name)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_runs_two_rounds(tmp_path, name):
+    from dataclasses import replace
+
+    cfg = replace(preset(name), rounds=2)
+    reports = read_jsonl(run_experiment(cfg, out_dir=tmp_path / name) / "rounds.jsonl")
+    assert [r.round for r in reports] == [1, 2]
+    for report in reports:
+        assert len(report.clients) == len(cfg.clients)
+        assert abs(sum(c.p for c in report.clients) - 1.0) <= 1e-12
+
+
 def test_unknown_preset_lists_known_names():
     with pytest.raises(UnknownPresetError) as err:
         preset("nope")
@@ -449,7 +461,9 @@ def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
     # model take one probability pass, and accuracy, spd and eod of one
     # model one classification of the validation split
     monkeypatch.setattr(fedval.model, "_proba", counting("proba", fedval.model._proba))
-    monkeypatch.setattr(fedval.metrics, "classify", counting("classify", fedval.metrics.classify))
+    counted_counts = counting("positive_counts", fedval.metrics.positive_counts)
+    for module in (fedval.metrics, fedval.server):
+        monkeypatch.setattr(module, "positive_counts", counted_counts)
     k, rounds = 3, 2
     run_experiment(tiny_config(strategy, rounds=rounds, k=k), tmp_path / strategy)
     assert calls["loss"] == k * rounds
@@ -457,7 +471,8 @@ def test_round_protocol_call_counts(tmp_path, monkeypatch, strategy):
     for metric in ("accuracy", "spd", "eod"):
         assert calls[metric] == rounds
     assert calls["proba"] == k * rounds
-    assert calls["classify"] == rounds
+    # one more per round for fedval: score_clients counts every client's blend at once
+    assert calls["positive_counts"] == (2 * rounds if strategy == "fedval" else rounds)
 
 
 def test_package_exports_exactly_its_public_api():

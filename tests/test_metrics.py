@@ -113,7 +113,7 @@ def _outcome(metric, params, ds):
 @given(
     seed=st.integers(0, 2**31),
     n=st.integers(1, 400),
-    dim=st.integers(1, 12),
+    dim=st.integers(1, 40),  # both sides of metrics._CONTIGUOUS_DIM
     scale=st.floats(1e-2, 1e2),
     labels=st.sampled_from(("mixed", "mixed", 0, 1)),
     groups=st.sampled_from(("mixed", "mixed", 0, 1)),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedval.baselines import AFLState
 from fedval.data import (
     GROUP_A,
     GROUP_D,
@@ -124,9 +125,9 @@ def _check(build, error, message):
 @example(values=[0.25, 0.75])
 @example(values=[0.5, math.nan, -1.0])
 def test_validation_names_the_first_invalid_entry(values):
-    # ScoreVector, RankState and AggregationWeights accept every finite entry
-    # >= 0 and otherwise name the first entry that is not, as a per-entry
-    # loop does; the weights must also sum to 1 within 1e-12
+    # ScoreVector, RankState, AggregationWeights and AFLState accept every
+    # finite entry >= 0 and otherwise name the first entry that is not, as a
+    # per-entry loop does; weights and mixtures must also sum to 1 within 1e-12
     bad = next(((i, v) for i, v in enumerate(values) if not (math.isfinite(v) and v >= 0)), None)
     ids = tuple(range(len(values)))
     _check(lambda: ScoreVector(ids, tuple(values), tuple({} for _ in ids)), ConfigError,
@@ -140,6 +141,8 @@ def test_validation_names_the_first_invalid_entry(values):
     else:
         message = None
     _check(lambda: AggregationWeights(ids, tuple(values)), DegenerateWeightsError, message)
+    # AFL's mixture is the same kind of probability vector
+    _check(lambda: AFLState(ids, tuple(values)), DegenerateWeightsError, message)
 
 
 # ---------------------------------------------------------------------------
