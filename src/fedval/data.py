@@ -44,6 +44,9 @@ CELLS = ((GROUP_A, 1), (GROUP_A, 0), (GROUP_D, 1), (GROUP_D, 0))
 # bounded retries for the validation-split coverage requirement
 _SPLIT_RETRIES = 32
 
+# the size of one block of generate_synthetic's noise draws
+_NOISE_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class TabularDataset:
@@ -411,7 +414,14 @@ def generate_synthetic(n: int, dim: int, group_positive_rates, seed: int) -> Tab
     features = np.multiply((0.9 * (2.0 * labels - 1.0))[:, None], label_dir)
     features[:n_a] += 1.25 * group_dir  # 2g - 1 = 1.0 for group a
     features[n_a:] += -1.25 * group_dir  # and -1.0 for group d
-    features += rng.standard_normal((n, dim))
+    # the noise is drawn and added one block of rows at a time, so no
+    # (n, dim) temporary is made.  Generator's float64 normals carry no
+    # state between calls: the blocks take the draws of one whole-array
+    # call, in the same order
+    rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
+    for start in range(0, n, rows):
+        block = features[start : start + rows]
+        block += rng.standard_normal(block.shape)
 
     perm = rng.permutation(n)
     return TabularDataset._adopt(features.take(perm, axis=0), labels[perm], groups[perm])

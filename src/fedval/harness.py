@@ -207,16 +207,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     resolved_config.json reproduces the reports byte for byte.
     """
     out = _make_dir(out_dir if out_dir is not None else cfg.out_dir)
-    for stale in ("rounds.jsonl", "rounds.csv"):
+    for stale in ("rounds.jsonl", "rounds.csv", "final_model.json"):
         (out / stale).unlink(missing_ok=True)
     write_json(out / "resolved_config.json", cfg.to_dict())
 
+    # each set-up copy of the rows goes as soon as its last reader returns,
+    # so partition runs beside the training and validation splits only
     dataset = _build_dataset(cfg)
     train_data, validation = split_validation(
         dataset, cfg.validation_fraction, derive_seed(cfg.seed, "split")
     )
+    del dataset
     clients = partition(train_data, cfg.clients, derive_seed(cfg.seed, "partition"))
-    del dataset, train_data  # the shards and the validation split hold every row the rounds use
+    del train_data  # the shards and the validation split hold every row the rounds use
 
     params = ModelParams.zeros(validation.dim)
     rank_state = RankState.zeros(c.client_id for c in clients)

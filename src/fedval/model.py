@@ -17,7 +17,7 @@ import numpy as np
 from .codec import FLOAT, Section, list_of, read_json, write_json
 from .data import TabularDataset
 from .errors import ConfigError, NumericOverflowError, ShapeError
-from .seeding import client_generators, derive_seed
+from .seeding import client_generators
 
 # probabilities are clamped to this band inside the loss so that a fully
 # saturated wrong prediction stays finite
@@ -96,16 +96,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
-
-
-def client_cfg(cfg: TrainConfig, client_id: int) -> TrainConfig:
-    """The per-client view of a round's TrainConfig (reseeded per client).
-
-    Equal to `dataclasses.replace(cfg, seed=...)`.  Only tests call it: the
-    round path, `train_clients`, seeds every client of a round in one pass
-    and trains each exactly as with this config.
-    """
-    return TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, derive_seed(cfg.seed, "client", client_id))
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -281,15 +271,19 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig, 
 def train_clients(params: ModelParams, clients, cfg: TrainConfig) -> list[ModelParams]:
     """`client_update` from `params` on each client's shard, in the order given.
 
-    Each client trains exactly as with `client_cfg(cfg, client_id)`: its
-    generator comes from `seeding.client_generators`, which seeds the whole
-    round in one pass.  A diverging update raises NumericOverflowError
-    naming the client.
+    Each client trains exactly as with `cfg` reseeded to
+    `derive_seed(cfg.seed, "client", client_id)`: its generator comes from
+    `seeding.client_generators`, which seeds the whole round in one pass.
+    A diverging update raises NumericOverflowError naming the client, and
+    numpy prints no overflow warning ahead of it.
     """
     models = []
-    for client, rng in zip(clients, client_generators(cfg.seed, [c.client_id for c in clients])):
-        try:
-            models.append(client_update(params, client.data, cfg, rng=rng))
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"client {client.client_id}: {exc}") from None
+    # one errstate per round, not per client: a diverging update is reported
+    # by ModelParams' finiteness check, which names the client
+    with np.errstate(over="ignore", invalid="ignore"):
+        for client, rng in zip(clients, client_generators(cfg.seed, [c.client_id for c in clients])):
+            try:
+                models.append(client_update(params, client.data, cfg, rng=rng))
+            except NumericOverflowError as exc:
+                raise NumericOverflowError(f"client {client.client_id}: {exc}") from None
     return models

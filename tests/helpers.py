@@ -13,7 +13,8 @@ from fedval.errors import (
     ShapeError,
 )
 from fedval.metrics import _BLOCK, OBJECTIVE_KINDS
-from fedval.model import _CLAMP, ModelParams, classify, client_cfg, client_update, is_positive
+from fedval.model import _CLAMP, ModelParams, TrainConfig, classify, client_update, is_positive
+from fedval.seeding import derive_seed
 
 
 def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
@@ -118,6 +119,12 @@ def reference_synthetic_arrays(n, dim, group_positive_rates, seed):
     features = centers + rng.standard_normal((n, dim))
     perm = rng.permutation(n)
     return features[perm], labels[perm], groups[perm]
+
+
+def client_cfg(cfg, client_id):
+    """The per-client view of a round's TrainConfig: `cfg` reseeded from
+    `derive_seed(cfg.seed, "client", client_id)`, as `dataclasses.replace` gives."""
+    return TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr, derive_seed(cfg.seed, "client", client_id))
 
 
 def reference_train_clients(params, clients, cfg):

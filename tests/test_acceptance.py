@@ -42,10 +42,10 @@ from fedval.harness import (
     run_sweep,
 )
 from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, eod, spd
-from fedval.model import ModelParams, TrainConfig, classify, client_cfg, client_update, gradient, loss
+from fedval.model import ModelParams, TrainConfig, classify, client_update, gradient, loss
 from fedval.reporting import read_jsonl
 from fedval.server import RankingConfig, RankState, fedval_round, rank_update
-from helpers import coverage_dataset
+from helpers import client_cfg, coverage_dataset
 
 ALL_THREE = ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0)))
 

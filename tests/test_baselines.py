@@ -19,8 +19,9 @@ from fedval.baselines import (
 )
 from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
 from fedval.errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
-from fedval.model import ModelParams, TrainConfig, client_cfg, client_update, gradient, loss
+from fedval.model import ModelParams, TrainConfig, client_update, gradient, loss
 from helpers import (
+    client_cfg,
     coverage_dataset,
     random_params,
     reference_afl_step,

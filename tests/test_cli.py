@@ -692,12 +692,29 @@ def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy,
     raw["train"]["lr"] = 1e308
     config = write_json(tmp_path / "config.json", raw)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        if strategy == "afl":
+            # AFL's global metrics of round 1 overflow on a huge but finite
+            # model before round 2's step diverges
+            warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["run", str(config)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     # AFL takes one server step per round and no local SGD, so no client is named
     expected = {"afl": "error: AFL model step diverged at learning rate 1e+308"}
     assert expected.get(strategy, "error: client 0: local SGD diverged at learning rate 1e+308") in err
+
+
+def test_failed_rerun_leaves_no_final_model_of_the_run_before(tmp_path, capsys):
+    raw = _fuzz_base("fedval")
+    raw["out_dir"] = str(tmp_path / "run")
+    assert main(["run", str(write_json(tmp_path / "ok.json", raw))]) == EXIT_OK
+    assert (tmp_path / "run" / "final_model.json").exists()
+    raw["train"]["lr"] = 1e308
+    assert main(["run", str(write_json(tmp_path / "diverges.json", raw))]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: client 0: local SGD diverged at learning rate 1e+308\n"
+    run = tmp_path / "run"
+    assert sorted(p.name for p in run.iterdir()) == ["resolved_config.json", "rounds.csv", "rounds.jsonl"]
+    assert json.loads((run / "resolved_config.json").read_text())["train"]["lr"] == 1e308
+    assert (run / "rounds.jsonl").read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------

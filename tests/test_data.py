@@ -31,7 +31,7 @@ from fedval.errors import (
     RowParseError,
     SchemaError,
 )
-from fedval.data import _covers
+from fedval.data import _NOISE_BLOCK_BYTES, _covers
 from fedval.model import ModelParams, loss
 from helpers import coverage_dataset, reference_synthetic_arrays, rows_as_multiset
 
@@ -511,11 +511,17 @@ def test_synthetic_is_deterministic():
 
 @pytest.mark.parametrize(
     "n, dim, rates, seed",
-    [(2, 1, (0.5, 0.5), 0), (7, 3, (0.6, 0.3), 1), (50, 8, (0.6, 0.3), 7), (501, 5, (1.0, 0.0), 123), (4000, 8, (0.6, 0.3), 2**40)],
+    [
+        (2, 1, (0.5, 0.5), 0), (7, 3, (0.6, 0.3), 1), (50, 8, (0.6, 0.3), 7), (501, 5, (1.0, 0.0), 123), (4000, 8, (0.6, 0.3), 2**40),
+        (20000, 8, (0.6, 0.3), 0),  # the fedval-100 shape: several noise blocks
+        (2 * (_NOISE_BLOCK_BYTES // 64) + 1, 8, (0.5, 0.4), 5),  # a last block of one row
+        (3, _NOISE_BLOCK_BYTES // 8 + 1, (0.5, 0.5), 9),  # rows wider than a block: one row per block
+    ],
 )
 def test_synthetic_equals_the_whole_array_reference(n, dim, rates, seed):
     # exactness bound: none; the in-place build takes the reference's
-    # operations on every element and its draws in the same order
+    # operations on every element and its draws in the same order, the
+    # noise in blocks of rows that together make the reference's one draw
     ds = generate_synthetic(n, dim, rates, seed)
     want = reference_synthetic_arrays(n, dim, rates, seed)
     assert ds.features.tobytes() == want[0].tobytes()

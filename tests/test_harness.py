@@ -1,5 +1,7 @@
 import csv
 import json
+import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -239,6 +241,55 @@ def test_run_experiment_fixed_data_seed_survives_master_reseed(tmp_path):
     cfg_b = json.loads((b / "resolved_config.json").read_text())
     assert cfg_a["data"]["synthetic"]["seed"] == cfg_b["data"]["synthetic"]["seed"] == 7
     assert (a / "rounds.csv").read_bytes() != (b / "rounds.csv").read_bytes()
+
+
+class _AtWriter(Exception):
+    """Stops a run where the RoundWriter would be built: set-up is over."""
+
+
+def _generated_bytes(spec):
+    ds = fedval.harness.generate_synthetic(spec.n, spec.dim, spec.positive_rates, 0)
+    return ds.features.nbytes + ds.labels.nbytes + ds.sensitive.nbytes
+
+
+def test_set_up_holds_at_most_two_and_a_half_copies_of_the_rows(tmp_path, monkeypatch):
+    # partition runs beside the training and validation splits and the
+    # growing shards, about two copies of the rows; with the generated
+    # dataset still alive it would be about three (2.9x measured)
+    cfg = preset("fedval-100")
+    dataset_bytes = _generated_bytes(cfg.data)
+
+    def writer(out_dir):
+        raise _AtWriter(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(fedval.harness, "RoundWriter", writer)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_AtWriter) as stop:
+            run_experiment(cfg, out_dir=tmp_path / "run")
+    finally:
+        tracemalloc.stop()
+    [peak] = stop.value.args
+    assert peak <= 2.5 * dataset_bytes, peak / dataset_bytes
+
+
+def test_generated_dataset_is_freed_before_partition(tmp_path, monkeypatch):
+    made, alive_at_partition = [], []
+    generate, partition = fedval.harness.generate_synthetic, fedval.harness.partition
+
+    def tracked_generate(*args):
+        dataset = generate(*args)
+        made.append(weakref.ref(dataset))
+        return dataset
+
+    def checked_partition(train_data, *args):
+        alive_at_partition.append(made[0]() is not None)
+        return partition(train_data, *args)
+
+    monkeypatch.setattr(fedval.harness, "generate_synthetic", tracked_generate)
+    monkeypatch.setattr(fedval.harness, "partition", checked_partition)
+    run_experiment(tiny_config(rounds=1), out_dir=tmp_path / "run")
+    assert alive_at_partition == [False]
 
 
 # ---------------------------------------------------------------------------

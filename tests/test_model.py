@@ -15,7 +15,6 @@ from fedval.model import (
     TrainConfig,
     _sigmoid,
     classify,
-    client_cfg,
     client_update,
     gradient,
     is_positive,
@@ -25,6 +24,7 @@ from fedval.model import (
 )
 from fedval.seeding import derive_seed
 from helpers import (
+    client_cfg,
     coverage_dataset,
     random_case,
     random_params,

@@ -25,7 +25,7 @@ from fedval.errors import (
     ShapeError,
 )
 from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, objective_score, spd
-from fedval.model import ModelParams, TrainConfig, classify, client_cfg, client_update, loss
+from fedval.model import ModelParams, TrainConfig, classify, client_update, loss
 from fedval.reporting import round_report
 from fedval.server import (
     AggregationWeights,
@@ -40,6 +40,7 @@ from fedval.server import (
 )
 from helpers import (
     UNIT_MODEL,
+    client_cfg,
     coverage_dataset,
     pattern_dataset,
     random_params,
