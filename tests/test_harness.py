@@ -247,17 +247,12 @@ class _AtWriter(Exception):
     """Stops a run where the RoundWriter would be built: set-up is over."""
 
 
-def _generated_bytes(spec):
-    ds = fedval.harness.generate_synthetic(spec.n, spec.dim, spec.positive_rates, 0)
-    return ds.features.nbytes + ds.labels.nbytes + ds.sensitive.nbytes
-
-
 def test_set_up_holds_at_most_two_and_a_half_copies_of_the_rows(tmp_path, monkeypatch):
     # partition runs beside the training and validation splits and the
     # growing shards, about two copies of the rows; with the generated
     # dataset still alive it would be about three (2.9x measured)
     cfg = preset("fedval-100")
-    dataset_bytes = _generated_bytes(cfg.data)
+    dataset_bytes = cfg.data.n * (cfg.data.dim + 2) * 8  # float64 features, int64 labels and groups
 
     def writer(out_dir):
         raise _AtWriter(tracemalloc.get_traced_memory()[1])
