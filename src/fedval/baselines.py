@@ -11,8 +11,8 @@
 Every round function is pure and returns the new global model plus a
 `server.RoundInfo`: the effective per-client weights (always a probability
 vector), local losses and, in `extras`, the intermediates the update used
-(q-FFL's h_k, AFL's next mixture).  `reporting.round_report` builds the
-round's report from it, as it does for the fedval strategy.
+(q-FFL's h_k).  `reporting.round_report` builds the round's report from
+it, as it does for the fedval strategy.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .data import ClientProfile
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from .model import ModelParams, TrainConfig, gradient, loss, train_clients
-from .server import AggregationWeights, RoundInfo, _pow, aggregate
+from .server import AggregationWeights, RoundInfo, _by_id, _pow, aggregate
 
 
 @dataclass(frozen=True)
@@ -94,21 +93,13 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def _ordered(clients) -> list[ClientProfile]:
-    return sorted(clients, key=lambda c: c.client_id)
-
-
 def _flat(params: ModelParams) -> np.ndarray:
     return np.concatenate([params.weights, [params.bias]])
 
 
-def _unflat(vec: np.ndarray) -> ModelParams:
-    return ModelParams(vec[:-1], float(vec[-1]))
-
-
 def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
     """Local SGD everywhere, then average weighted by shard size."""
-    ordered = _ordered(clients)
+    ordered = _by_id(clients)
     models = train_clients(global_params, ordered, train_cfg)
     losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
     total = sum(c.n for c in ordered)
@@ -166,7 +157,7 @@ def _q_step(global_flat: np.ndarray, ordered, deltas, hs, qcfg: QConfig):
         tuple(c.client_id for c in ordered),
         tuple(float(h) / total_h for h in hs),
     )
-    return _unflat(new_flat), weights
+    return ModelParams(new_flat[:-1], float(new_flat[-1])), weights
 
 
 def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
@@ -196,7 +187,7 @@ def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
     and the server moves by sum(delta) / sum(h).  Client losses and
     gradients are all evaluated at the incoming global model.
     """
-    ordered = _ordered(clients)
+    ordered = _by_id(clients)
     # lazily, so each shard's gradient and loss run back to back and share one pass
     grads = (gradient(global_params, c.data) for c in ordered)
     return _q_round(global_params, ordered, (np.concatenate([gw, [gb]]) for gw, gb in grads), qcfg)
@@ -209,7 +200,7 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     dw_k = L * (w - w_k_local), then combined exactly as in qfedsgd with
     losses evaluated at the incoming global model.
     """
-    ordered = _ordered(clients)
+    ordered = _by_id(clients)
     global_flat = _flat(global_params)
     models = train_clients(global_params, ordered, train_cfg)
     with np.errstate(over="ignore"):  # an overflowing direction is reported as its client's delta
@@ -222,10 +213,10 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
 
     The model takes one gradient step against the current mixture; lambda
     then moves toward high-loss clients and is projected back onto the
-    simplex.  Returns (new_global, new_state, info); info reports the
-    mixture the model step used.
+    simplex.  Returns (new_global, new_state, info): `new_state.lam` is the
+    next round's mixture and `info.weights` the mixture the model step used.
     """
-    ordered = _ordered(clients)
+    ordered = _by_id(clients)
     ids = tuple(c.client_id for c in ordered)
     if set(ids) != set(state.client_ids):
         raise ConfigError("AFL state does not cover the participating clients")
@@ -257,7 +248,4 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
         [l + state.lr_lambda * losses[cid] for cid, l in zip(ids, mixture)]
     ).tolist()
     new_state = AFLState(ids, new_lam, state.lr_lambda)
-
-    weights = AggregationWeights(ids, mixture)
-    info = RoundInfo(weights, losses, {"lambda_next": dict(zip(ids, new_lam))})
-    return new_global, new_state, info
+    return new_global, new_state, RoundInfo(AggregationWeights(ids, mixture), losses, {})

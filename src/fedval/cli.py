@@ -7,7 +7,7 @@
     fedval gen-data <spec.json> <out.csv>
     fedval eval <model.json> <data.csv> <schema.json>
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error (out of memory too).
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (FedValError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

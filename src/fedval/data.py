@@ -431,7 +431,7 @@ def _group_stats(labels, sensitive, group_value):
     mask = sensitive == group_value
     total = int(mask.sum())
     pos = int(labels[mask].sum())
-    return mask, total, pos
+    return total, pos
 
 
 def skew(dataset: TabularDataset, spec: SkewSpec, seed: int) -> TabularDataset:
@@ -460,8 +460,8 @@ def skew(dataset: TabularDataset, spec: SkewSpec, seed: int) -> TabularDataset:
     labels = dataset.labels[keep]
     sens = dataset.sensitive[keep]
     target_value = GROUP_A if spec.group == "a" else GROUP_D
-    _, n_t, pos_t = _group_stats(labels, sens, target_value)
-    _, n_o, pos_o = _group_stats(labels, sens, GROUP_D if spec.group == "a" else GROUP_A)
+    n_t, pos_t = _group_stats(labels, sens, target_value)
+    n_o, pos_o = _group_stats(labels, sens, GROUP_D if spec.group == "a" else GROUP_A)
     other_rate = pos_o / n_o
     current_rate = pos_t / n_t
 
@@ -493,8 +493,7 @@ def skew(dataset: TabularDataset, spec: SkewSpec, seed: int) -> TabularDataset:
 
     if removals > 0:
         candidates = keep[(dataset.sensitive[keep] == target_value) & (dataset.labels[keep] == 1)]
-        dropped = set(rng.choice(candidates, size=removals, replace=False).tolist())
-        keep = np.array([i for i in keep if i not in dropped], dtype=np.int64)
+        keep = keep[~np.isin(keep, rng.choice(candidates, size=removals, replace=False))]
 
     return dataset.subset(keep)
 

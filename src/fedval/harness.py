@@ -222,10 +222,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     del train_data  # the shards and the validation split hold every row the rounds use
 
     params = ModelParams.zeros(validation.dim)
-    rank_state = RankState.zeros(c.client_id for c in clients)
-    afl_state = AFLState.uniform(
-        tuple(c.client_id for c in clients), cfg.afl_lambda_lr
-    ) if cfg.strategy == "afl" else None
+    ids = [c.client_id for c in clients]
+    # the strategy's state: AFL's mixture, or the rank mass that fedval's rounds thread
+    state = AFLState.uniform(ids, cfg.afl_lambda_lr) if cfg.strategy == "afl" else RankState.zeros(ids)
 
     with RoundWriter(out) as writer:
         for t in range(1, cfg.rounds + 1):
@@ -235,14 +234,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
                 train.epochs, train.batch_size, train.lr, derive_seed(cfg.seed, "round", t)
             )
             if cfg.strategy == "fedval":
-                params, rank_state, info = fedval_round(
+                params, state, info = fedval_round(
                     params,
                     clients,
                     validation,
                     cfg.objectives,
                     round_cfg,
                     cfg.ranking,
-                    rank_state,
+                    state,
                     alpha=cfg.temp_alpha,
                 )
             elif cfg.strategy == "fedavg":
@@ -252,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
             elif cfg.strategy == "qfedavg":
                 params, info = qfedavg_round(params, clients, round_cfg, cfg.qfed)
             else:  # afl
-                params, afl_state, info = afl_round(params, clients, afl_state, round_cfg)
+                params, state, info = afl_round(params, clients, state, round_cfg)
             writer.write(round_report(t, params, validation, clients, info))
 
     params.save(out / "final_model.json")
@@ -403,9 +402,9 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
     """Run the sweep grid and summarize final-round metrics per cell group.
 
     Each (count, variant) pair gets one summary row with mean and sample
-    stddev over its replicate seeds.  A cell that fails with a FedValError
-    or an OSError is recorded and the sweep continues; an OSError on the
-    sweep's own directory or on summary.csv propagates.  Cooperative
+    stddev over its replicate seeds.  A cell that fails with a FedValError,
+    OSError or MemoryError is recorded and the sweep continues; an OSError
+    on the sweep's own directory or on summary.csv propagates.  Cooperative
     clients take the low ids; the remaining clients reuse the base config's
     uncooperative skew (or a 0.2-ratio default when the base has none).
     """
@@ -419,13 +418,14 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
     )
     out = _make_dir(out_dir if out_dir is not None else base.out_dir)
 
-    cells = []
+    cells, rows = [], []
     for count in spec.cooperative_counts:
+        profiles = tuple(ClientSpec("cooperative") for _ in range(count)) + tuple(
+            ClientSpec("uncooperative", skew_template) for _ in range(k - count)
+        )
         for variant in spec.variants:
+            finals = []  # final metrics of this (count, variant) group's finished cells
             for seed in spec.replicate_seeds:
-                profiles = tuple(ClientSpec("cooperative") for _ in range(count)) + tuple(
-                    ClientSpec("uncooperative", skew_template) for _ in range(k - count)
-                )
                 cell_name = f"coop{count:03d}_{variant.name}_seed{seed}"
                 cfg = replace(
                     base,
@@ -443,27 +443,20 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
                         "eod": last.global_eod,
                     }
                     cells.append(CellResult(count, variant.name, seed, run_dir, final))
-                except (FedValError, OSError) as exc:  # one cell's failure; the others still run
-                    cells.append(
-                        CellResult(count, variant.name, seed, None, None, error=str(exc))
-                    )
+                    finals.append(final)
+                except (FedValError, OSError, MemoryError) as exc:  # one cell's failure; the others still run
+                    error = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+                    cells.append(CellResult(count, variant.name, seed, None, None, error=error))
 
-    rows = []
-    for count in spec.cooperative_counts:
-        for variant in spec.variants:
-            group = [
-                c for c in cells
-                if c.cooperative_count == count and c.variant == variant.name and c.final
-            ]
             row = {
                 "cooperative_count": count,
                 "cooperative_ratio": count / k,
                 "variant": variant.name,
                 "ranking_enabled": variant.ranking_enabled,
-                "replicates_ok": len(group),
+                "replicates_ok": len(finals),
             }
             for metric in ("accuracy", "spd", "eod"):
-                vals = [c.final[metric] for c in group]
+                vals = [final[metric] for final in finals]
                 row[f"final_{metric}_mean"] = float(np.mean(vals)) if vals else None
                 row[f"final_{metric}_std"] = (
                     float(np.std(vals, ddof=1)) if len(vals) > 1 else (0.0 if vals else None)

@@ -38,18 +38,6 @@ _BLOCK = 4
 _CONTIGUOUS_DIM = 16
 
 
-def _no_rows(group_value, *, metric):
-    return MissingGroupError(
-        f"{metric}: dataset has no rows for group {_GROUP_NAMES[group_value]!r}"
-    )
-
-
-def _no_positives(group_value):
-    return MissingPositivesError(
-        f"eod: no positive-label rows for group {_GROUP_NAMES[group_value]!r}"
-    )
-
-
 def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
     """Accuracy, or the SPD or EOD gap, from positive-prediction counts per cell.
 
@@ -66,12 +54,16 @@ def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
     if kind == "spd":
         for group_value, rows in ((GROUP_A, na1 + na0), (GROUP_D, nd1 + nd0)):
             if rows == 0:
-                raise _no_rows(group_value, metric="spd")
+                raise MissingGroupError(
+                    f"spd: dataset has no rows for group {_GROUP_NAMES[group_value]!r}"
+                )
         return abs((a1 + a0) / (na1 + na0) - (d1 + d0) / (nd1 + nd0))
     if kind == "eod":
         for group_value, rows in ((GROUP_A, na1), (GROUP_D, nd1)):
             if rows == 0:
-                raise _no_positives(group_value)
+                raise MissingPositivesError(
+                    f"eod: no positive-label rows for group {_GROUP_NAMES[group_value]!r}"
+                )
         return abs(a1 / na1 - d1 / nd1)
     raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
 
@@ -202,6 +194,21 @@ def composite_score(params: ModelParams, validation: TabularDataset, spec: Objec
     )
 
 
+def _check_mass(values, error) -> float:
+    """The sum of `values`, each of which must be finite and >= 0.
+
+    Otherwise raises `error(i, v)` for the first entry v, at position i,
+    that is not.
+    """
+    total = sum(values)
+    # a finite sum of entries >= 0 has every entry finite: the loop only names the culprit
+    if not (math.isfinite(total) and min(values, default=0.0) >= 0):
+        for i, v in enumerate(values):
+            if not 0.0 <= v < math.inf:
+                raise error(i, v)
+    return total
+
+
 @dataclass(frozen=True)
 class ScoreVector:
     """Per-client composite scores plus the raw per-objective values."""
@@ -220,11 +227,7 @@ class ScoreVector:
             raise ConfigError(f"duplicate client ids in score vector: {ids}")
         if not (len(ids) == len(comp) == len(self.per_objective)):
             raise ConfigError("score vector fields must align")
-        # a finite sum of entries >= 0 has every entry finite: the loop only names the culprit
-        if not (math.isfinite(sum(comp)) and min(comp, default=0.0) >= 0):
-            for s in comp:
-                if not 0.0 <= s < math.inf:
-                    raise ConfigError(f"composite scores must be finite and >= 0, got {s}")
+        _check_mass(comp, lambda i, s: ConfigError(f"composite scores must be finite and >= 0, got {s}"))
 
     def __len__(self) -> int:
         return len(self.client_ids)

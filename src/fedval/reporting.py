@@ -2,10 +2,10 @@
 
 Every strategy's round returns a `server.RoundInfo`; `round_report` turns
 it, with the new global model, into the round's RoundReport.  Reports
-serialize two ways: a JSON-lines stream (one object per round, append
-mode) and a flat CSV holding one row per client per round plus one
-global-metrics row per round.  Fields a strategy does not define (e.g.
-rank mass under FedAvg) stay null / empty.
+serialize two ways: a JSON-lines stream (one object per round) and a flat
+CSV holding one row per client per round plus one global-metrics row per
+round.  Fields a strategy does not define (e.g. rank mass under FedAvg)
+stay null / empty.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .metrics import OBJECTIVE_KINDS, accuracy, eod, spd
+from .server import _by_id
 
 CSV_COLUMNS = (
     "round",
@@ -97,7 +98,7 @@ def round_report(round_index: int, params, validation, clients, info) -> RoundRe
     if info.rank is not None:
         rs = info.rank.rs
     losses, records = info.losses, []
-    for c in sorted(clients, key=lambda c: c.client_id):
+    for c in _by_id(clients):
         cid = c.client_id
         # positional arguments: a frozen dataclass binds keywords at a higher cost
         records.append(ClientRoundRecord(
@@ -214,7 +215,7 @@ def _serialize(report: RoundReport) -> tuple[str, str]:
 
 
 class RoundWriter:
-    """Streams reports to rounds.jsonl and rounds.csv as rounds complete.
+    """Streams reports to new rounds.jsonl and rounds.csv files as rounds complete.
 
     Each write is flushed so an aborted run keeps every finished round.
     """
@@ -222,12 +223,10 @@ class RoundWriter:
     def __init__(self, out_dir):
         self.jsonl_path = out_dir / "rounds.jsonl"
         self.csv_path = out_dir / "rounds.csv"
-        self._jsonl = open(self.jsonl_path, "a", encoding="utf-8")
-        fresh = self.csv_path.stat().st_size == 0 if self.csv_path.exists() else True
-        self._csv = open(self.csv_path, "a", newline="", encoding="utf-8")
-        if fresh:
-            self._csv.write(_CSV_HEADER)
-            self._csv.flush()
+        self._jsonl = open(self.jsonl_path, "w", encoding="utf-8")
+        self._csv = open(self.csv_path, "w", newline="", encoding="utf-8")
+        self._csv.write(_CSV_HEADER)
+        self._csv.flush()
 
     def write(self, report: RoundReport) -> None:
         line, rows = _serialize(report)

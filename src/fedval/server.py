@@ -31,7 +31,7 @@ from .errors import (
     NumericOverflowError,
     ShapeError,
 )
-from .metrics import ObjectiveSpec, ScoreVector, objective_scores, positive_counts
+from .metrics import ObjectiveSpec, ScoreVector, _check_mass, objective_scores, positive_counts
 from .model import ModelParams, TrainConfig, loss, train_clients
 
 
@@ -51,7 +51,7 @@ class RankingConfig:
         if self.enabled and self.step_size < 1.0:
             warnings.warn(
                 f"ranking step_size {self.step_size} < 1 rewards worse-ranked clients",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
 
 
@@ -64,12 +64,9 @@ class RankState:
     def __post_init__(self):
         rs = {int(cid): float(v) for cid, v in self.rs.items()}
         object.__setattr__(self, "rs", rs)
-        mass = rs.values()
-        # a finite sum of entries >= 0 has every entry finite: the loop only names the culprit
-        if not (math.isfinite(sum(mass)) and min(mass, default=0.0) >= 0):
-            for cid, v in rs.items():
-                if not 0.0 <= v < math.inf:
-                    raise ConfigError(f"rank mass for client {cid} must be finite and >= 0, got {v}")
+        _check_mass(rs.values(), lambda i, v: ConfigError(
+            f"rank mass for client {list(rs)[i]} must be finite and >= 0, got {v}"
+        ))
 
     @staticmethod
     def zeros(client_ids) -> "RankState":
@@ -92,11 +89,7 @@ class AggregationWeights:
             raise ConfigError("weights must align with a non-empty client list")
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate client ids in weights: {ids}")
-        total = sum(p)
-        if not (math.isfinite(total) and min(p) >= 0):  # as in RankState
-            for v in p:
-                if not 0.0 <= v < math.inf:
-                    raise DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]")
+        total = _check_mass(p, lambda i, v: DegenerateWeightsError(f"aggregation weight {v} outside [0, 1]"))
         if abs(total - 1.0) > 1e-12:
             raise DegenerateWeightsError(f"aggregation weights sum to {total!r}, not 1")
 
@@ -120,16 +113,23 @@ class RoundInfo:
     rank: RankState | None = None
 
 
-def _check_blend(global_params: ModelParams, client_params: ModelParams, alpha: float) -> None:
+def _by_id(clients) -> list[ClientProfile]:
+    """`clients` in ascending client id: the order every round visits them in."""
+    return sorted(clients, key=lambda c: c.client_id)
+
+
+def _check_blend(global_params: ModelParams, client_params, alpha: float) -> None:
+    """Check alpha, then that every model of `client_params` has the global model's dimension."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"blend alpha must lie in [0, 1], got {alpha}")
-    if global_params.dim != client_params.dim:
+    dim = global_params.dim
+    if any(params.dim != dim for params in client_params):
         raise ShapeError("global and client models disagree on dimension")
 
 
 def temp_aggregate(global_params: ModelParams, client_params: ModelParams, alpha: float = 0.5) -> ModelParams:
     """Convex blend alpha * client + (1 - alpha) * global used for scoring."""
-    _check_blend(global_params, client_params, alpha)
+    _check_blend(global_params, (client_params,), alpha)
     return ModelParams(
         alpha * client_params.weights + (1.0 - alpha) * global_params.weights,
         alpha * client_params.bias + (1.0 - alpha) * global_params.bias,
@@ -153,11 +153,10 @@ def score_clients(
     models = list(client_models)
     if not models:
         return ScoreVector((), (), ())
-    for _, params in models:
-        _check_blend(global_params, params, alpha)
-    ids = [cid for cid, _ in models]
-    weights = alpha * np.stack([p.weights for _, p in models]) + (1.0 - alpha) * global_params.weights
-    biases = alpha * np.array([p.bias for _, p in models]) + (1.0 - alpha) * global_params.bias
+    ids, params = zip(*models)
+    _check_blend(global_params, params, alpha)
+    weights = alpha * np.stack([p.weights for p in params]) + (1.0 - alpha) * global_params.weights
+    biases = alpha * np.array([p.bias for p in params]) + (1.0 - alpha) * global_params.bias
     counts, sizes = positive_counts(weights, biases, validation)
 
     columns = {}
@@ -170,7 +169,7 @@ def score_clients(
         composite = composite + weight * scores
         columns[kind] = scores.tolist()
     raw = tuple({kind: column[i] for kind, column in columns.items()} for i in range(len(ids)))
-    return ScoreVector(tuple(ids), tuple(composite.tolist()), raw)
+    return ScoreVector(ids, tuple(composite.tolist()), raw)
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -215,6 +214,9 @@ def make_weights(scores: ScoreVector, state: RankState | None = None) -> Aggrega
         raise DegenerateWeightsError(
             "total score mass is zero; no client can be weighted"
         )
+    if total == math.inf:  # each mass is finite, so the sum overflowed
+        kind = "score" if state is None else "rank"
+        raise NumericOverflowError(f"total {kind} mass of {len(mass)} clients overflows the float range")
     return AggregationWeights(scores.client_ids, tuple(v / total for v in mass))
 
 
@@ -256,7 +258,7 @@ def fedval_round(
     returned unchanged when ranking is disabled; `info.losses` holds each
     client's loss at its own local model.
     """
-    ordered = sorted(clients, key=lambda c: c.client_id)
+    ordered = _by_id(clients)
     models = train_clients(global_params, ordered, train_cfg)
     updated = [(c.client_id, m) for c, m in zip(ordered, models)]
     scores = score_clients(global_params, updated, validation, spec, alpha)

@@ -717,6 +717,61 @@ def test_failed_rerun_leaves_no_final_model_of_the_run_before(tmp_path, capsys):
     assert (run / "rounds.jsonl").read_bytes() == b""
 
 
+_OVERFLOWING_MASS = [
+    ({"ranking": {"enabled": True, "initial_step": 1e308, "step_size": 1.0}}, "rank"),
+    ({"objectives": [{"kind": "accuracy", "weight": 1e308}, {"kind": "spd", "weight": 1e308}]}, "score"),
+]
+
+
+@pytest.mark.parametrize("change, mass", _OVERFLOWING_MASS)
+def test_run_whose_total_mass_overflows_names_it(tmp_path, capsys, change, mass):
+    # every client's mass is finite but their sum is not; dividing by that
+    # sum made every weight 0, reported as weights that sum to 0.0
+    raw = {
+        "strategy": "fedval",
+        "rounds": 2,
+        "seed": 7,
+        "out_dir": str(tmp_path / "run"),
+        "data": {"synthetic": {"n": 400, "dim": 3, "positive_rates": [0.6, 0.4]}},
+        "clients": ["cooperative"] * 3,
+        "objectives": [{"kind": "accuracy", "weight": 1.0}, {"kind": "spd", "weight": 1.0}],
+        "train": {"epochs": 1, "batch_size": 16, "lr": 0.1},
+        **change,
+    }
+    assert main(["run", str(write_json(tmp_path / "config.json", raw))]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: total {mass} mass of 3 clients overflows the float range\n"
+
+
+_NO_MEMORY = "Unable to allocate 36.4 TiB for an array with shape (10000000000000, 3) and data type float64"
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError(_NO_MEMORY)
+
+
+def test_run_out_of_memory_is_one_runtime_error_line(tiny_config_file, monkeypatch, capsys):
+    monkeypatch.setattr(fedval.harness, "generate_synthetic", _exhausted)
+    assert main(["run", str(tiny_config_file)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: out of memory: {_NO_MEMORY}\n"
+
+
+def test_sweep_records_a_cell_out_of_memory_as_a_failed_cell(tmp_path, monkeypatch, capsys):
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    generate = fedval.harness.generate_synthetic
+    calls = []
+
+    def first_cell_exhausted(*args, **kwargs):
+        calls.append(args)
+        return _exhausted() if len(calls) == 1 else generate(*args, **kwargs)
+
+    monkeypatch.setattr(fedval.harness, "generate_synthetic", first_cell_exhausted)
+    result = fedval.run_sweep(*fedval.harness.load_sweep(write_json(tmp_path / "sweep.json", raw)))
+    assert [cell.error for cell in result.cells] == [f"out of memory: {_NO_MEMORY}", None]
+    assert [row["replicates_ok"] for row in result.summary_rows] == [0, 1]
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

@@ -195,22 +195,6 @@ def test_round_writer_streams_both_formats(tmp_path):
     assert len(rows) == 1 + 2 * 3
 
 
-def test_round_writer_appends_without_duplicate_header(tmp_path):
-    with RoundWriter(tmp_path) as writer:
-        writer.write(sample_report(round_index=1))
-    with RoundWriter(tmp_path) as writer:
-        writer.write(sample_report(round_index=2))
-
-    with open(tmp_path / "rounds.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    headers = [r for r in rows if r and r[0] == "round"]
-    assert len(headers) == 1
-    assert len(rows) == 1 + 2 * 3
-
-    reports = read_jsonl(tmp_path / "rounds.jsonl")
-    assert [r.round for r in reports] == [1, 2]
-
-
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "rounds.jsonl"
     obj = json.dumps(reference_json_obj(sample_report()))

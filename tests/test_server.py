@@ -70,8 +70,10 @@ def test_ranking_config_validation():
 
 
 def test_ranking_config_warns_on_inverted_geometry():
-    with pytest.warns(UserWarning, match="rewards worse"):
+    with pytest.warns(UserWarning, match="rewards worse") as record:
         RankingConfig(enabled=True, step_size=0.5)
+    # the warning points at the caller, not at the dataclass's generated __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_ranking_config_silent_when_disabled():
