@@ -1,7 +1,6 @@
 """Deterministic federated-learning simulator with fairness-aware aggregation."""
 
 from .baselines import (
-    AFLState,
     QConfig,
     afl_round,
     fedavg_round,

@@ -42,28 +42,6 @@ class QConfig:
             raise ConfigError(f"lipschitz must be positive, got {self.lipschitz}")
 
 
-@dataclass(frozen=True)
-class AFLState:
-    """Mixture weights over clients plus their ascent rate."""
-
-    client_ids: tuple[int, ...]
-    lam: tuple[float, ...]
-    lr_lambda: float = 0.1
-
-    def __post_init__(self):
-        # the mixture is a probability vector over clients, checked as aggregation weights are
-        mixture = AggregationWeights(self.client_ids, self.lam)
-        object.__setattr__(self, "client_ids", mixture.client_ids)
-        object.__setattr__(self, "lam", mixture.p)
-        if not (self.lr_lambda > 0 and math.isfinite(self.lr_lambda)):
-            raise ConfigError(f"lr_lambda must be positive, got {self.lr_lambda}")
-
-    @staticmethod
-    def uniform(client_ids, lr_lambda: float = 0.1) -> "AFLState":
-        ids = tuple(client_ids)
-        return AFLState(ids, tuple(1.0 / len(ids) for _ in ids), lr_lambda)
-
-
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
@@ -127,11 +105,10 @@ def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
     raises NumericOverflowError naming the client and the term.
     """
     fq = _check_finite(_pow(f, qcfg.q), client_id, "F**q")
-    # an overflowing product or norm is reported below, as is the nan of an
-    # underflowed F**q times an overflowed direction
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = _check_finite(fq * direction, client_id, "delta")
-        norm2 = float(direction @ direction)
+    # an overflowing product or norm (silent under `_q_round`'s errstate) is
+    # reported below, as is the nan of an underflowed F**q times an overflowed direction
+    delta = _check_finite(fq * direction, client_id, "delta")
+    norm2 = float(direction @ direction)
     if qcfg.q == 0:
         h = qcfg.lipschitz * fq
     else:
@@ -141,10 +118,10 @@ def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
 
 def _q_step(global_flat: np.ndarray, ordered, deltas, hs, qcfg: QConfig):
     """The server's q-FFL move by sum(delta) / sum(h), with the weights h / sum(h)."""
-    # a zero or overflowing sum, and a step that leaves the float range, are reported below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total_h = float(np.sum(hs))
-        new_flat = global_flat - np.sum(deltas, axis=0) / total_h
+    # a zero or overflowing sum, and a step that leaves the float range, are
+    # reported below (numpy is silent about them under `_q_round`'s errstate)
+    total_h = float(np.sum(hs))
+    new_flat = global_flat - np.sum(deltas, axis=0) / total_h
     if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
         raise DegenerateWeightsError(
             f"q-FFL weights sum to {total_h} at q={qcfg.q}: every h_k underflowed; reduce q"
@@ -169,14 +146,16 @@ def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
     and h_k.
     """
     deltas, hs, losses, extras = [], [], {}, {}
-    for c, direction in zip(ordered, directions):
-        f = loss(global_params, c.data)
-        delta, h, norm2 = _q_terms(f, direction, qcfg, c.client_id)
-        deltas.append(delta)
-        hs.append(h)
-        losses[c.client_id] = f
-        extras[c.client_id] = {"grad_norm_sq": norm2, "h": float(h)}
-    new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
+    # one errstate per round; `loss` clamps a huge model's logits, and other overflows are reported
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for c, direction in zip(ordered, directions):
+            f = loss(global_params, c.data)
+            delta, h, norm2 = _q_terms(f, direction, qcfg, c.client_id)
+            deltas.append(delta)
+            hs.append(h)
+            losses[c.client_id] = f
+            extras[c.client_id] = {"grad_norm_sq": norm2, "h": float(h)}
+        new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
     return new_global, RoundInfo(weights, losses, extras)
 
 
@@ -203,24 +182,30 @@ def qfedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig, q
     ordered = _by_id(clients)
     global_flat = _flat(global_params)
     models = train_clients(global_params, ordered, train_cfg)
-    with np.errstate(over="ignore"):  # an overflowing direction is reported as its client's delta
-        directions = [qcfg.lipschitz * (global_flat - _flat(m)) for m in models]
+    # lazily, under `_q_round`'s errstate: an overflowing direction is reported as its client's delta
+    directions = (qcfg.lipschitz * (global_flat - _flat(m)) for m in models)
     return _q_round(global_params, ordered, directions, qcfg)
 
 
-def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: TrainConfig):
+def afl_round(
+    global_params: ModelParams, clients, mixture: AggregationWeights, train_cfg: TrainConfig, lr_lambda: float
+):
     """Minimax round: descend on the lambda-mixed gradient, ascend lambda.
 
-    The model takes one gradient step against the current mixture; lambda
-    then moves toward high-loss clients and is projected back onto the
-    simplex.  Returns (new_global, new_state, info): `new_state.lam` is the
-    next round's mixture and `info.weights` the mixture the model step used.
+    The model takes one gradient step against `mixture`, AFL's weights over
+    the clients; lambda then moves toward high-loss clients at the rate
+    `lr_lambda` and is projected back onto the simplex.  Returns
+    (new_global, next_mixture, info): `next_mixture` is the next round's
+    mixture and `info.weights` the mixture the model step used, both in
+    ascending client id.
     """
+    if not (lr_lambda > 0 and math.isfinite(lr_lambda)):
+        raise ConfigError(f"lr_lambda must be positive, got {lr_lambda}")
     ordered = _by_id(clients)
     ids = tuple(c.client_id for c in ordered)
-    if set(ids) != set(state.client_ids):
-        raise ConfigError("AFL state does not cover the participating clients")
-    lam = dict(zip(state.client_ids, state.lam))
+    if set(ids) != set(mixture.client_ids):
+        raise ConfigError("AFL mixture does not cover the participating clients")
+    lam = dict(zip(mixture.client_ids, mixture.p))
 
     # the lambda-mixed gradient, weights and bias apart: element for element
     # the sum and the step the flat vector [w, b] would take
@@ -243,9 +228,7 @@ def afl_round(global_params: ModelParams, clients, state: AFLState, train_cfg: T
     except FloatingPointError:
         raise NumericOverflowError(f"AFL model step diverged at learning rate {lr!r}") from None
 
-    mixture = [lam[cid] for cid in ids]
-    new_lam = project_simplex(
-        [l + state.lr_lambda * losses[cid] for cid, l in zip(ids, mixture)]
-    ).tolist()
-    new_state = AFLState(ids, new_lam, state.lr_lambda)
-    return new_global, new_state, RoundInfo(AggregationWeights(ids, mixture), losses, {})
+    used = mixture if mixture.client_ids == ids else AggregationWeights(ids, [lam[cid] for cid in ids])
+    ascended = [l + lr_lambda * losses[cid] for cid, l in zip(ids, used.p)]
+    next_mixture = AggregationWeights(ids, project_simplex(ascended).tolist())
+    return new_global, next_mixture, RoundInfo(used, losses, {})

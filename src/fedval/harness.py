@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    AFLState,
     QConfig,
     afl_round,
     fedavg_round,
@@ -42,7 +41,7 @@ from .metrics import ObjectiveSpec
 from .model import ModelParams, TrainConfig
 from .reporting import RoundWriter, read_jsonl, round_report
 from .seeding import derive_seed
-from .server import RankingConfig, RankState, fedval_round
+from .server import AggregationWeights, RankingConfig, RankState, fedval_round
 
 STRATEGIES = ("fedval", "fedavg", "qfedsgd", "qfedavg", "afl")
 
@@ -223,8 +222,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     params = ModelParams.zeros(validation.dim)
     ids = [c.client_id for c in clients]
-    # the strategy's state: AFL's mixture, or the rank mass that fedval's rounds thread
-    state = AFLState.uniform(ids, cfg.afl_lambda_lr) if cfg.strategy == "afl" else RankState.zeros(ids)
+    uniform = [1.0 / len(ids)] * len(ids)
+    # the strategy's state: AFL's mixture, uniform at first, or the rank mass that fedval's rounds thread
+    state = AggregationWeights(ids, uniform) if cfg.strategy == "afl" else RankState.zeros(ids)
 
     with RoundWriter(out) as writer:
         for t in range(1, cfg.rounds + 1):
@@ -251,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
             elif cfg.strategy == "qfedavg":
                 params, info = qfedavg_round(params, clients, round_cfg, cfg.qfed)
             else:  # afl
-                params, state, info = afl_round(params, clients, state, round_cfg)
+                params, state, info = afl_round(params, clients, state, round_cfg, cfg.afl_lambda_lr)
             writer.write(round_report(t, params, validation, clients, info))
 
     params.save(out / "final_model.json")

@@ -28,6 +28,8 @@ _CLAMP_HI = 1.0 - _CLAMP
 # sigmoid; further out their sign alone decides (see is_positive)
 _SIGN_DECIDES = 1e-12
 
+_NAN_LOGITS = "model logits overflowed to nan: the weights are too large for these features"
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -173,14 +175,18 @@ def is_positive(logits: np.ndarray) -> np.ndarray:
     The rule is decided on the float64 sigmoid, not on the logit's sign: a
     logit of -1e-17 has probability exactly 0.5 and counts positive.  The
     sigmoid is only evaluated for logits in (-_SIGN_DECIDES, 0); elsewhere
-    the sign gives the same answer.
+    the sign gives the same answer, +-inf included.  A nan logit (an x.w
+    that summed +inf and -inf terms) raises NumericOverflowError.
     """
     # z >= 0: exp(-z) <= 1, so 1 / (1 + exp(-z)) >= 0.5 exactly.
     # z <= -_SIGN_DECIDES: exp(z) is at most about 1 - 1e-12, so
     # exp(z) / (1 + exp(z)) lies ~2.5e-13 below 0.5, far beyond rounding.
     positive = logits >= 0
-    near = (logits > -_SIGN_DECIDES) ^ positive  # -_SIGN_DECIDES < logit < 0
-    if near.any():
+    decided = (logits <= -_SIGN_DECIDES) ^ positive  # false in (-_SIGN_DECIDES, 0) and at nan
+    if not decided.all():
+        near = ~decided
+        if np.isnan(logits[near]).any():
+            raise NumericOverflowError(_NAN_LOGITS)
         positive[near] = _sigmoid(logits[near]) >= 0.5
     return positive
 
@@ -203,8 +209,11 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
     np.log(terms, out=terms)
     # summation order fixed by value so row permutations cannot move the result
     terms.sort()
+    total = float(np.add.reduce(terms))
+    if math.isnan(total):  # a nan logit: the clamp keeps every other term finite, +-inf logits too
+        raise NumericOverflowError(_NAN_LOGITS)
     # -np.mean without its dispatch; a Python float divides as float64 does
-    return -(float(np.add.reduce(terms)) / n)
+    return -(total / n)
 
 
 def gradient(params: ModelParams, dataset: TabularDataset):

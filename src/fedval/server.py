@@ -161,15 +161,20 @@ def score_clients(
 
     columns = {}
     composite = np.zeros(len(models))
-    for kind, weight in spec.entries:
-        try:
-            scores = objective_scores(kind, counts, sizes)
-        except (MissingGroupError, MissingPositivesError) as exc:
-            raise type(exc)(f"objective {kind!r} failed for client {ids[0]}: {exc}") from exc
-        composite = composite + weight * scores
-        columns[kind] = scores.tolist()
+    with np.errstate(over="ignore"):  # a composite that overflows is named below
+        for kind, weight in spec.entries:
+            try:
+                scores = objective_scores(kind, counts, sizes)
+            except (MissingGroupError, MissingPositivesError) as exc:
+                raise type(exc)(f"objective {kind!r} failed for client {ids[0]}: {exc}") from exc
+            composite = composite + weight * scores
+            columns[kind] = scores.tolist()
+    composite = composite.tolist()
+    if math.inf in composite:  # each weight * score is finite and >= 0; their sum is not
+        cid = ids[composite.index(math.inf)]
+        raise NumericOverflowError(f"composite score of client {cid} overflows the float range")
     raw = tuple({kind: column[i] for kind, column in columns.items()} for i in range(len(ids)))
-    return ScoreVector(ids, tuple(composite.tolist()), raw)
+    return ScoreVector(ids, tuple(composite), raw)
 
 
 def _pow(base: float, exponent: float) -> float:

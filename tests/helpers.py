@@ -15,6 +15,7 @@ from fedval.errors import (
 from fedval.metrics import _BLOCK, OBJECTIVE_KINDS
 from fedval.model import _CLAMP, ModelParams, TrainConfig, classify, client_update, is_positive
 from fedval.seeding import derive_seed
+from fedval.server import AggregationWeights
 
 
 def coverage_dataset(n, dim, seed, positive_rate=0.5, advantaged_share=0.5):
@@ -286,14 +287,21 @@ def reference_project_simplex(v):
     return np.maximum(v + theta, 0.0)
 
 
-def reference_afl_step(global_params, state, lr, grads, losses):
+def uniform_mixture(client_ids):
+    """AFL's first mixture over `client_ids`: 1 / K each, as `run_experiment` starts it."""
+    ids = tuple(client_ids)
+    return AggregationWeights(ids, [1.0 / len(ids)] * len(ids))
+
+
+def reference_afl_step(global_params, mixture, lr_lambda, lr, grads, losses):
     """AFL's server step on the flat parameter vector [w, b].
 
-    `grads` maps each client id to its (gw, gb) and `losses` to its loss,
-    both at `global_params`.  Returns the new global model, the next
-    mixture and the mixture the step used, in ascending client id.
+    `mixture` is the `AggregationWeights` the step uses and `lr_lambda` its
+    ascent rate.  `grads` maps each client id to its (gw, gb) and `losses`
+    to its loss, both at `global_params`.  Returns the new global model, the
+    next mixture and the mixture the step used, in ascending client id.
     """
-    lam = dict(zip(state.client_ids, state.lam))
+    lam = dict(zip(mixture.client_ids, mixture.p))
     ids = sorted(grads)
     flat = np.concatenate([global_params.weights, [global_params.bias]])
     mixed = np.zeros(flat.size)
@@ -302,7 +310,7 @@ def reference_afl_step(global_params, state, lr, grads, losses):
         mixed[:-1] += lam[cid] * gw
         mixed[-1] += lam[cid] * gb
     vec = flat - lr * mixed
-    ascended = np.array([lam[cid] + state.lr_lambda * losses[cid] for cid in ids])
+    ascended = np.array([lam[cid] + lr_lambda * losses[cid] for cid in ids])
     return (
         ModelParams(vec[:-1], float(vec[-1])),
         reference_project_simplex(ascended),

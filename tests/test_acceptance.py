@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from fedval.baselines import (
-    AFLState,
     QConfig,
     afl_round,
     fedavg_round,
@@ -45,7 +44,7 @@ from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, eod, spd
 from fedval.model import ModelParams, TrainConfig, classify, client_update, gradient, loss
 from fedval.reporting import read_jsonl
 from fedval.server import RankingConfig, RankState, fedval_round, rank_update
-from helpers import client_cfg, coverage_dataset
+from helpers import client_cfg, coverage_dataset, uniform_mixture
 
 ALL_THREE = ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0)))
 
@@ -263,7 +262,7 @@ def test_criterion_weight_simplex(capsys):
         collected.append(info.weights.p)
         _, info = qfedavg_round(params, clients, cfg, QConfig(q=float(rng.uniform(0, 4))))
         collected.append(info.weights.p)
-        _, _, info = afl_round(params, clients, AFLState.uniform(ids), cfg)
+        _, _, info = afl_round(params, clients, uniform_mixture(ids), cfg, 0.1)
         collected.append(info.weights.p)
 
         for p in collected:

@@ -1,3 +1,4 @@
+import math
 import re
 from unittest import mock
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 import fedval.baselines
 from fedval.baselines import (
-    AFLState,
     QConfig,
     RoundInfo,
     afl_round,
@@ -20,6 +20,7 @@ from fedval.baselines import (
 from fedval.data import ClientProfile, ClientSpec, TabularDataset, generate_synthetic, partition
 from fedval.errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from fedval.model import ModelParams, TrainConfig, client_update, gradient, loss
+from fedval.server import AggregationWeights
 from helpers import (
     client_cfg,
     coverage_dataset,
@@ -29,6 +30,7 @@ from helpers import (
     reference_project_simplex,
     reference_q_round,
     reference_train_clients,
+    uniform_mixture,
 )
 
 
@@ -54,19 +56,6 @@ def test_qconfig_validation():
         QConfig(q=-1.0)
     with pytest.raises(ConfigError):
         QConfig(q=1.0, lipschitz=0.0)
-
-
-def test_afl_state_uniform_and_validation():
-    s = AFLState.uniform((0, 1, 2, 3))
-    assert s.lam == (0.25, 0.25, 0.25, 0.25)
-    with pytest.raises(DegenerateWeightsError):
-        AFLState((0, 1), (0.6, 0.6))  # off the simplex
-    with pytest.raises(DegenerateWeightsError):
-        AFLState((0, 1), (1.2, -0.2))
-    with pytest.raises(ConfigError):
-        AFLState((0, 0), (0.5, 0.5))
-    with pytest.raises(ConfigError):
-        AFLState((0, 1), (0.5, 0.5), lr_lambda=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +356,22 @@ def test_qfed_rounds_report_overflow_as_a_numeric_error(q, scale, term):
         qfedavg_round(start, [client], cfg, QConfig(q=q))
 
 
+def test_qfed_rounds_evaluate_a_huge_global_model_without_warnings(shards):
+    # 1e308 * x0 overflows to +-inf for |x0| > 1.8, with no numpy warning (an
+    # error under this suite's settings): each loss clamps those logits as an
+    # errstate-wrapped call does, and the step stays finite
+    start = ModelParams(np.array([1e308, 0.0, 0.0]), 0.0)
+    assert any(np.count_nonzero(np.abs(c.data.features[:, 0]) > 1.8) for c in shards)
+    with np.errstate(over="ignore"):
+        want = {c.client_id: loss(start, c.data) for c in shards}
+    cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0)
+    for run in (lambda: qfedsgd_round(start, shards, QConfig(q=1.0)),
+                lambda: qfedavg_round(start, shards, cfg, QConfig(q=1.0))):
+        new_global, info = run()
+        assert info.losses == want and all(math.isfinite(v) for v in want.values())
+        assert np.isfinite(new_global.weights).all()
+
+
 def test_qfed_rounds_report_underflowed_weights_as_degenerate(shards):
     # at the zero model every loss is ln 2, and ln 2 ** 4999 underflows to 0,
     # so every h_k is 0 and the server step would divide by zero
@@ -386,33 +391,33 @@ def test_qfed_rounds_report_underflowed_weights_as_degenerate(shards):
 def test_afl_round_descends_the_mixed_gradient(shards):
     cfg = TrainConfig(epochs=1, batch_size=16, lr=0.25, seed=0)
     start = random_params(3, seed=14, scale=0.2)
-    state = AFLState((0, 1, 2), (0.2, 0.3, 0.5), lr_lambda=0.05)
-    new_global, new_state, info = afl_round(start, shards, state, cfg)
+    mixture = AggregationWeights((0, 1, 2), (0.2, 0.3, 0.5))
+    new_global, _, info = afl_round(start, shards, mixture, cfg, 0.05)
 
     mixed = np.zeros(4)
-    lam = dict(zip(state.client_ids, state.lam))
+    lam = dict(zip(mixture.client_ids, mixture.p))
     for c in sorted(shards, key=lambda c: c.client_id):
         gw, gb = gradient(start, c.data)
         mixed += lam[c.client_id] * np.concatenate([gw, [gb]])
     expected = _flat(start) - 0.25 * mixed
     assert np.allclose(_flat(new_global), expected, atol=1e-15)
     # reported mixture is the one the step used, not the ascended one
-    assert info.weights.p == state.lam
+    assert info.weights.p == mixture.p
 
 
 def test_afl_lambda_ascends_toward_high_loss(shards):
     cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=0)
     start = ModelParams.zeros(3)
-    state = AFLState.uniform((0, 1, 2), lr_lambda=0.5)
-    _, new_state, info = afl_round(start, shards, state, cfg)
-    assert abs(sum(new_state.lam) - 1.0) <= 1e-12
+    mixture = uniform_mixture((0, 1, 2))
+    _, next_mixture, info = afl_round(start, shards, mixture, cfg, 0.5)
+    assert abs(sum(next_mixture.p) - 1.0) <= 1e-12
     # the manual ascent-then-project recomputation matches
     ascended = np.array([
-        state.lam[i] + 0.5 * info.losses[cid] for i, cid in enumerate(state.client_ids)
+        mixture.p[i] + 0.5 * info.losses[cid] for i, cid in enumerate(mixture.client_ids)
     ])
     expected = project_simplex(ascended)
-    assert np.allclose(np.asarray(new_state.lam), expected, atol=1e-15)
-    assert info.extras == {}  # the next mixture is the returned state's alone
+    assert np.allclose(np.asarray(next_mixture.p), expected, atol=1e-15)
+    assert info.extras == {}  # the next mixture is the returned one alone
 
 
 def test_afl_lambda_concentrates_on_a_persistently_bad_client():
@@ -422,28 +427,34 @@ def test_afl_lambda_concentrates_on_a_persistently_bad_client():
     good = coverage_dataset(120, 2, seed=31)
     noisy = type(good)(rng.standard_normal((120, 2)), rng.integers(0, 2, 120), rng.integers(0, 2, 120))
     clients = [ClientProfile(0, "cooperative", good), ClientProfile(1, "cooperative", noisy)]
-    state = AFLState.uniform((0, 1), lr_lambda=0.2)
+    mixture = uniform_mixture((0, 1))
     params = ModelParams.zeros(2)
     cfg = TrainConfig(epochs=1, batch_size=32, lr=0.3, seed=0)
     for _ in range(15):
-        params, state, _ = afl_round(params, clients, state, cfg)
-    lam = dict(zip(state.client_ids, state.lam))
+        params, mixture, _ = afl_round(params, clients, mixture, cfg, 0.2)
+    lam = dict(zip(mixture.client_ids, mixture.p))
     assert lam[1] > lam[0]
 
 
 def test_afl_state_must_cover_clients(shards):
-    state = AFLState.uniform((0, 1))  # missing client 2
-    with pytest.raises(ConfigError, match="cover"):
-        afl_round(ModelParams.zeros(3), shards, state, TrainConfig(seed=0))
+    mixture = uniform_mixture((0, 1))  # missing client 2
+    with pytest.raises(ConfigError, match="^AFL mixture does not cover the participating clients$"):
+        afl_round(ModelParams.zeros(3), shards, mixture, TrainConfig(seed=0), 0.1)
+
+
+@pytest.mark.parametrize("lr_lambda", [0.0, -1.0, math.inf, math.nan])
+def test_afl_round_rejects_an_ascent_rate_that_is_not_positive_and_finite(shards, lr_lambda):
+    with pytest.raises(ConfigError, match=f"^lr_lambda must be positive, got {lr_lambda}$"):
+        afl_round(ModelParams.zeros(3), shards, uniform_mixture((0, 1, 2)), TrainConfig(seed=0), lr_lambda)
 
 
 def test_afl_round_is_deterministic(shards):
     cfg = TrainConfig(epochs=1, batch_size=16, lr=0.1, seed=2)
-    state = AFLState.uniform((0, 1, 2))
-    a, sa, _ = afl_round(ModelParams.zeros(3), shards, state, cfg)
-    b, sb, _ = afl_round(ModelParams.zeros(3), shards, state, cfg)
+    mixture = uniform_mixture((0, 1, 2))
+    a, ma, _ = afl_round(ModelParams.zeros(3), shards, mixture, cfg, 0.1)
+    b, mb, _ = afl_round(ModelParams.zeros(3), shards, mixture, cfg, 0.1)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    assert sa.lam == sb.lam
+    assert ma.p == mb.p
 
 
 def test_afl_equals_fedavg_on_identical_clients():
@@ -453,9 +464,9 @@ def test_afl_equals_fedavg_on_identical_clients():
     clients = [ClientProfile(client_id=i, behavior="cooperative", data=shard) for i in range(3)]
     cfg = TrainConfig(epochs=1, batch_size=64, lr=0.1, seed=2)
     start = random_params(2, seed=11)
-    state = AFLState.uniform((0, 1, 2))
+    mixture = uniform_mixture((0, 1, 2))
     for _ in range(4):
-        next_afl, state, info = afl_round(start, clients, state, cfg)
+        next_afl, mixture, info = afl_round(start, clients, mixture, cfg, 0.1)
         next_avg, _ = fedavg_round(start, clients, cfg)
         assert np.max(np.abs(_flat(next_afl) - _flat(next_avg))) <= 1e-12
         assert info.weights.p == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
@@ -504,7 +515,7 @@ def test_afl_round_step_equals_the_flat_reference(case):
         for cid in case["ids"]
     ]
     by_data = {id(c.data): c.client_id for c in clients}
-    state = AFLState(case["ids"], case["lam"], case["lr_lambda"])
+    mixture = AggregationWeights(case["ids"], case["lam"])
 
     def fake_gradient(params, data):
         gw, gb = case["grads"][by_data[id(data)]]
@@ -515,15 +526,15 @@ def test_afl_round_step_equals_the_flat_reference(case):
 
     with mock.patch.object(fedval.baselines, "gradient", fake_gradient), \
             mock.patch.object(fedval.baselines, "loss", fake_loss):
-        new_global, new_state, info = afl_round(
-            case["start"], clients, state, TrainConfig(lr=case["lr"])
+        new_global, next_mixture, info = afl_round(
+            case["start"], clients, mixture, TrainConfig(lr=case["lr"]), case["lr_lambda"]
         )
     want_global, want_lam, want_weights = reference_afl_step(
-        case["start"], state, case["lr"], case["grads"], case["losses"]
+        case["start"], mixture, case["lr_lambda"], case["lr"], case["grads"], case["losses"]
     )
     assert _bits(new_global.weights) == _bits(want_global.weights)
     assert _bits([new_global.bias]) == _bits([want_global.bias])
-    assert new_state.client_ids == tuple(sorted(case["ids"]))
-    assert _bits(new_state.lam) == _bits(want_lam)
+    assert next_mixture.client_ids == tuple(sorted(case["ids"]))
+    assert _bits(next_mixture.p) == _bits(want_lam)
     assert info.extras == {}
     assert _bits(info.weights.p) == _bits(want_weights)

@@ -198,11 +198,7 @@ def test_run_of_a_mutated_config_exits_cleanly(strategy, mutations):
         try:
             Path("config.json").write_text(json.dumps(raw))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                with warnings.catch_warnings():
-                    # numpy's overflow warnings (train.lr 1e308) print a line and the
-                    # run goes on to exit 0 or 3; this test checks exit codes only
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    code = main(["run", "config.json"])
+                code = main(["run", "config.json"])
         finally:
             os.chdir(cwd)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
@@ -253,9 +249,7 @@ def test_sweep_of_a_mutated_spec_exits_cleanly(mutations):
         try:
             Path("sweep.json").write_text(json.dumps(raw))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)  # see the run fuzz above
-                    code = main(["sweep", "sweep.json"])
+                code = main(["sweep", "sweep.json"])
         finally:
             os.chdir(cwd)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
@@ -691,12 +685,9 @@ def test_diverging_local_sgd_is_a_runtime_error_naming_client_and_rate(strategy,
     raw["out_dir"] = str(tmp_path / "run")
     raw["train"]["lr"] = 1e308
     config = write_json(tmp_path / "config.json", raw)
-    with warnings.catch_warnings():
-        if strategy == "afl":
-            # AFL's global metrics of round 1 overflow on a huge but finite
-            # model before round 2's step diverges
-            warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", str(config)]) == EXIT_RUNTIME
+    # AFL's global metrics of round 1 evaluate a huge but finite model, with
+    # no numpy warning, before round 2's step diverges
+    assert main(["run", str(config)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     # AFL takes one server step per round and no local SGD, so no client is named
     expected = {"afl": "error: AFL model step diverged at learning rate 1e+308"}
@@ -717,6 +708,22 @@ def test_failed_rerun_leaves_no_final_model_of_the_run_before(tmp_path, capsys):
     assert (run / "rounds.jsonl").read_bytes() == b""
 
 
+def _overflow_config(tmp_path, **change):
+    """The 3-client config of the overflow tests below, with `change` applied."""
+    raw = {
+        "strategy": "fedval",
+        "rounds": 3,
+        "seed": 7,
+        "out_dir": str(tmp_path / "run"),
+        "data": {"synthetic": {"n": 400, "dim": 3, "positive_rates": [0.6, 0.4]}},
+        "clients": ["cooperative"] * 3,
+        "objectives": [{"kind": "accuracy", "weight": 1.0}, {"kind": "spd", "weight": 1.0}],
+        "train": {"epochs": 1, "batch_size": 16, "lr": 0.1},
+        **change,
+    }
+    return str(write_json(tmp_path / "config.json", raw))
+
+
 _OVERFLOWING_MASS = [
     ({"ranking": {"enabled": True, "initial_step": 1e308, "step_size": 1.0}}, "rank"),
     ({"objectives": [{"kind": "accuracy", "weight": 1e308}, {"kind": "spd", "weight": 1e308}]}, "score"),
@@ -727,19 +734,33 @@ _OVERFLOWING_MASS = [
 def test_run_whose_total_mass_overflows_names_it(tmp_path, capsys, change, mass):
     # every client's mass is finite but their sum is not; dividing by that
     # sum made every weight 0, reported as weights that sum to 0.0
-    raw = {
-        "strategy": "fedval",
-        "rounds": 2,
-        "seed": 7,
-        "out_dir": str(tmp_path / "run"),
-        "data": {"synthetic": {"n": 400, "dim": 3, "positive_rates": [0.6, 0.4]}},
-        "clients": ["cooperative"] * 3,
-        "objectives": [{"kind": "accuracy", "weight": 1.0}, {"kind": "spd", "weight": 1.0}],
-        "train": {"epochs": 1, "batch_size": 16, "lr": 0.1},
-        **change,
-    }
-    assert main(["run", str(write_json(tmp_path / "config.json", raw))]) == EXIT_RUNTIME
+    assert main(["run", _overflow_config(tmp_path, rounds=2, **change)]) == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: total {mass} mass of 3 clients overflows the float range\n"
+
+
+def test_run_whose_composite_score_overflows_names_the_client(tmp_path, capsys):
+    # each objective weight is finite, so the config is valid; the weighted
+    # sum of a client's scores is not, which is a runtime overflow
+    weights = [{"kind": "accuracy", "weight": 1.79e308}, {"kind": "spd", "weight": 1.79e308}]
+    config = _overflow_config(tmp_path, objectives=weights, ranking={"enabled": False})
+    assert main(["run", config]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: composite score of client 0 overflows the float range\n"
+
+
+def test_qfedsgd_run_to_a_huge_model_warns_nothing(tmp_path, capsys):
+    # steps of about grad / L take the model to weights near 1e307, whose
+    # logits overflow: the losses clamp them and the global metrics take
+    # them by sign, with no numpy warning (an error under this suite's settings)
+    config = _overflow_config(tmp_path, strategy="qfedsgd", qfed={"q": 2.2e-309, "lipschitz": 2.2e-309})
+    assert main(["run", config]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    run = tmp_path / "run"
+    assert max(map(abs, json.loads((run / "final_model.json").read_text())["weights"])) > 1e307
+    reports = [json.loads(line) for line in (run / "rounds.jsonl").read_text().splitlines()]
+    assert len(reports) == 3
+    for r in reports:
+        assert all(0.0 <= v <= 1.0 for v in r["global"].values())
+        assert all(math.isfinite(c["local_loss"]) for c in r["clients"])
 
 
 _NO_MEMORY = "Unable to allocate 36.4 TiB for an array with shape (10000000000000, 3) and data type float64"

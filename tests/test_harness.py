@@ -525,7 +525,7 @@ def test_package_exports_exactly_its_public_api():
     import fedval
 
     assert fedval.__all__ == [
-        "AFLState", "AggregationWeights", "ClientProfile", "ClientSpec", "DatasetSchema",
+        "AggregationWeights", "ClientProfile", "ClientSpec", "DatasetSchema",
         "ExperimentConfig", "ModelParams", "ObjectiveSpec", "QConfig", "RankState",
         "RankingConfig", "RoundReport", "ScoreVector", "SkewSpec", "SweepSpec", "SweepVariant",
         "TabularDataset", "TrainConfig", "accuracy", "afl_round", "aggregate", "client_update",

@@ -400,6 +400,17 @@ def test_positive_counts_equal_the_strided_reference(seed, k, dim, n, scale):
     assert counts.tobytes() == want_counts.tobytes() and sizes.tobytes() == want_sizes.tobytes()
 
 
+def test_global_metrics_of_a_huge_model_take_its_logits_by_sign():
+    # x0 * 1e308 overflows to +-inf for |x0| > 1.8: no numpy warning (an error
+    # under this suite's settings), and each row is classified as by the unit model
+    ds = coverage_dataset(80, 2, seed=8)
+    ds = TabularDataset(ds.features * 4.0, ds.labels, ds.sensitive)
+    huge, unit = ModelParams(np.array([1e308, 0.0]), 0.0), ModelParams(np.array([1.0, 0.0]), 0.0)
+    assert np.count_nonzero(np.abs(ds.features[:, 0]) > 1.8) > 10
+    for metric in (accuracy, spd, eod):
+        assert metric(huge, ds) == metric(unit, ds)
+
+
 def test_features_t_is_a_read_only_contiguous_transpose():
     ds = coverage_dataset(30, 4, seed=2)
     t = ds.features_t

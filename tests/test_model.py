@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedval.model
 from fedval.data import ClientProfile, TabularDataset
 from fedval.errors import ConfigError, NumericOverflowError, ShapeError
 from fedval.model import (
@@ -519,6 +520,27 @@ def test_is_positive_equals_the_sigmoid_rule():
     for z in (tiny, near, spread, spread.reshape(5, -1)):
         assert np.array_equal(is_positive(z), _sigmoid(z) >= 0.5)
     assert is_positive(np.array([-1e-17]))[0]
+
+
+def test_is_positive_takes_infinite_logits_by_sign_and_rejects_nan():
+    # a huge but finite model's logits overflow to +-inf; a nan one has no sign
+    assert is_positive(np.array([np.inf, -np.inf, -1e-17])).tolist() == [True, False, True]
+    for z in (np.array([np.nan]), np.array([1.0, -1e-13, np.nan, -2.0]), np.array([[0.5], [np.nan]])):
+        with pytest.raises(NumericOverflowError, match="^model logits overflowed to nan"):
+            is_positive(z)
+
+
+def test_loss_of_a_nan_logit_is_a_numeric_error(monkeypatch):
+    # a logit is nan where x.w sums an overflowed +inf and -inf term, which
+    # depends on the BLAS kernel's summation order, so the pass is patched in
+    def nan_pass(params, X):
+        p = np.full(X.shape[0], 0.25)
+        p[3] = np.nan
+        return p
+
+    monkeypatch.setattr(fedval.model, "_proba", nan_pass)
+    with pytest.raises(NumericOverflowError, match="^model logits overflowed to nan"):
+        loss(ModelParams.zeros(2), coverage_dataset(8, 2, seed=5))
 
 
 

@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedval.baselines import AFLState
 from fedval.data import (
     GROUP_A,
     GROUP_D,
@@ -128,9 +128,9 @@ def _check(build, error, message):
 @example(values=[0.25, 0.75])
 @example(values=[0.5, math.nan, -1.0])
 def test_validation_names_the_first_invalid_entry(values):
-    # ScoreVector, RankState, AggregationWeights and AFLState accept every
-    # finite entry >= 0 and otherwise name the first entry that is not, as a
-    # per-entry loop does; weights and mixtures must also sum to 1 within 1e-12
+    # ScoreVector, RankState and AggregationWeights (AFL's mixture too) accept
+    # every finite entry >= 0 and otherwise name the first entry that is not, as
+    # a per-entry loop does; weights must also sum to 1 within 1e-12
     bad = next(((i, v) for i, v in enumerate(values) if not (math.isfinite(v) and v >= 0)), None)
     ids = tuple(range(len(values)))
     _check(lambda: ScoreVector(ids, tuple(values), tuple({} for _ in ids)), ConfigError,
@@ -144,8 +144,14 @@ def test_validation_names_the_first_invalid_entry(values):
     else:
         message = None
     _check(lambda: AggregationWeights(ids, tuple(values)), DegenerateWeightsError, message)
-    # AFL's mixture is the same kind of probability vector
-    _check(lambda: AFLState(ids, tuple(values)), DegenerateWeightsError, message)
+
+
+def test_aggregation_weights_reject_duplicate_or_misaligned_clients():
+    with pytest.raises(ConfigError, match=re.escape("duplicate client ids in weights: (0, 0)")):
+        AggregationWeights((0, 0), (0.5, 0.5))
+    for ids, p in [((0, 1), (1.0,)), ((), ())]:
+        with pytest.raises(ConfigError, match="^weights must align with a non-empty client list$"):
+            AggregationWeights(ids, p)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +311,22 @@ def test_score_clients_empty_and_shape_errors():
         score_clients(UNIT_MODEL, [(0, UNIT_MODEL), (1, ModelParams.zeros(2))], VAL, ALL_THREE)
     with pytest.raises(ConfigError):
         score_clients(UNIT_MODEL, [(0, UNIT_MODEL)], VAL, ALL_THREE, alpha=1.5)
+
+
+def test_score_clients_names_the_first_client_whose_composite_overflows():
+    # every objective weight is finite, so the spec is valid, but a composite
+    # of w * accuracy + w * (1 - spd) is finite only while accuracy < 0.5:
+    # the zero model predicts every row positive (accuracy p < 0.5, spd 0),
+    # the bias -1 model every row negative (accuracy 1 - p > 0.5, spd 0)
+    val = coverage_dataset(60, 2, seed=12, positive_rate=0.3)
+    assert float(val.labels.mean()) <= 0.45
+    w = np.finfo(np.float64).max / 1.5
+    spec = ObjectiveSpec((("accuracy", w), ("spd", w)))
+    negative = ModelParams(np.zeros(2), -1.0)
+    models = [(2, ModelParams.zeros(2)), (4, negative), (7, negative)]
+    with pytest.raises(NumericOverflowError, match="^composite score of client 4 overflows the float range$"):
+        score_clients(ModelParams.zeros(2), models, val, spec)
+    assert math.isfinite(score_clients(ModelParams.zeros(2), models[:1], val, spec).composite[0])
 
 
 # ---------------------------------------------------------------------------
