@@ -228,7 +228,7 @@ def afl_round(
     except FloatingPointError:
         raise NumericOverflowError(f"AFL model step diverged at learning rate {lr!r}") from None
 
-    used = mixture if mixture.client_ids == ids else AggregationWeights(ids, [lam[cid] for cid in ids])
+    used = AggregationWeights(ids, [lam[cid] for cid in ids])
     ascended = [l + lr_lambda * losses[cid] for cid, l in zip(ids, used.p)]
     next_mixture = AggregationWeights(ids, project_simplex(ascended).tolist())
     return new_global, next_mixture, RoundInfo(used, losses, {})

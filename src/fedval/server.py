@@ -160,16 +160,14 @@ def score_clients(
     counts, sizes = positive_counts(weights, biases, validation)
 
     columns = {}
-    composite = np.zeros(len(models))
-    with np.errstate(over="ignore"):  # a composite that overflows is named below
-        for kind, weight in spec.entries:
-            try:
-                scores = objective_scores(kind, counts, sizes)
-            except (MissingGroupError, MissingPositivesError) as exc:
-                raise type(exc)(f"objective {kind!r} failed for client {ids[0]}: {exc}") from exc
-            composite = composite + weight * scores
-            columns[kind] = scores.tolist()
-    composite = composite.tolist()
+    composite = [0.0] * len(models)  # Python floats: a sum that overflows is inf, silently
+    for kind, weight in spec.entries:
+        try:
+            scores = objective_scores(kind, counts, sizes).tolist()
+        except (MissingGroupError, MissingPositivesError) as exc:
+            raise type(exc)(f"objective {kind!r} failed for client {ids[0]}: {exc}") from exc
+        composite = [total + weight * score for total, score in zip(composite, scores)]
+        columns[kind] = scores
     if math.inf in composite:  # each weight * score is finite and >= 0; their sum is not
         cid = ids[composite.index(math.inf)]
         raise NumericOverflowError(f"composite score of client {cid} overflows the float range")
