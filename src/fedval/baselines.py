@@ -89,82 +89,60 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
     return new_global, RoundInfo(weights, losses, {})
 
 
-def _check_finite(value, client_id, what):
-    finite = math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
-    if not finite:
-        raise NumericOverflowError(
-            f"{what} overflowed for client {client_id}; reduce q or the loss scale"
-        )
-    return value
-
-
-def _q_terms(f: float, direction: np.ndarray, qcfg: QConfig, client_id):
-    """q-FFL's delta_k = F**q * direction and h_k = q F**(q-1) |direction|^2 + L F**q.
-
-    Returns (delta, h, |direction|^2).  A term that leaves the float range
-    raises NumericOverflowError naming the client and the term.
-    """
-    fq = _check_finite(_pow(f, qcfg.q), client_id, "F**q")
-    # an overflowing product or norm (silent under `_q_round`'s errstate) is
-    # reported below, as is the nan of an underflowed F**q times an overflowed direction
-    delta = _check_finite(fq * direction, client_id, "delta")
-    norm2 = float(direction @ direction)
-    if qcfg.q == 0:
-        h = qcfg.lipschitz * fq
-    else:
-        h = qcfg.q * _pow(f, qcfg.q - 1.0) * norm2 + qcfg.lipschitz * fq
-    return delta, _check_finite(h, client_id, "h"), norm2
-
-
-def _q_step(global_flat: np.ndarray, ordered, deltas, hs, qcfg: QConfig):
-    """The server's q-FFL move by sum(delta) / sum(h), with the weights h / sum(h)."""
-    # a zero or overflowing sum, and a step that leaves the float range, are
-    # reported below (numpy is silent about them under `_q_round`'s errstate)
-    total_h = float(np.sum(hs))
-    new_flat = global_flat - np.sum(deltas, axis=0) / total_h
-    if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
-        raise DegenerateWeightsError(
-            f"q-FFL weights sum to {total_h} at q={qcfg.q}: every h_k underflowed; reduce q"
-        )
-    if not (total_h < math.inf and np.isfinite(new_flat).all()):
-        raise NumericOverflowError(
-            f"q-FFL server step overflowed at q={qcfg.q}; reduce q or the Lipschitz estimate"
-        )
-    weights = AggregationWeights(
-        tuple(c.client_id for c in ordered),
-        tuple(float(h) / total_h for h in hs),
-    )
-    return ModelParams(new_flat[:-1], float(new_flat[-1])), weights
-
-
 def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
     """One q-FFL round from each client's update direction, in `ordered`'s order.
 
-    Each client's loss F_k is taken at the incoming global model; `_q_terms`
-    turns it and the client's direction into delta_k and h_k, and `_q_step`
-    moves the global model.  `extras` holds each client's |direction|^2
-    and h_k.
+    With F_k the client's loss at the incoming global model, delta_k =
+    F_k**q * direction and h_k = q F_k**(q-1) |direction|^2 + L F_k**q; the
+    server moves by sum(delta) / sum(h) and weighs client k by h_k / sum(h).
+    Each client's F**q, delta and h are checked in that order, then the sum
+    and the step.  `extras` holds each client's |direction|^2 and h_k.
     """
+    q, lipschitz = qcfg.q, qcfg.lipschitz
     deltas, hs, losses, extras = [], [], {}, {}
     # one errstate per round; `loss` clamps a huge model's logits, and other overflows are reported
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c, direction in zip(ordered, directions):
             f = loss(global_params, c.data)
-            delta, h, norm2 = _q_terms(f, direction, qcfg, c.client_id)
+            fq = _pow(f, q)
+            if not math.isfinite(fq):
+                raise NumericOverflowError(
+                    f"F**q overflowed for client {c.client_id}; reduce q or the loss scale"
+                )
+            delta = fq * direction  # nan where an underflowed F**q meets an overflowed direction
+            if not np.isfinite(delta).all():
+                raise NumericOverflowError(
+                    f"delta overflowed for client {c.client_id}; reduce q or the loss scale"
+                )
+            norm2 = float(direction @ direction)
+            h = lipschitz * fq if q == 0 else q * _pow(f, q - 1.0) * norm2 + lipschitz * fq
+            if not math.isfinite(h):
+                raise NumericOverflowError(
+                    f"h overflowed for client {c.client_id}; reduce q or the loss scale"
+                )
             deltas.append(delta)
             hs.append(h)
             losses[c.client_id] = f
             extras[c.client_id] = {"grad_norm_sq": norm2, "h": float(h)}
-        new_global, weights = _q_step(_flat(global_params), ordered, deltas, hs, qcfg)
-    return new_global, RoundInfo(weights, losses, extras)
+        total_h = float(np.sum(hs))
+        new_flat = _flat(global_params) - np.sum(deltas, axis=0) / total_h
+    if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
+        raise DegenerateWeightsError(
+            f"q-FFL weights sum to {total_h} at q={q}: every h_k underflowed; reduce q"
+        )
+    if not (total_h < math.inf and np.isfinite(new_flat).all()):
+        raise NumericOverflowError(
+            f"q-FFL server step overflowed at q={q}; reduce q or the Lipschitz estimate"
+        )
+    weights = AggregationWeights(tuple(c.client_id for c in ordered), tuple(h / total_h for h in hs))
+    return ModelParams(new_flat[:-1], float(new_flat[-1])), RoundInfo(weights, losses, extras)
 
 
 def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
     """One loss-reweighted gradient step from the current global model.
 
-    delta_k = F_k**q * grad F_k, h_k = q F_k**(q-1) |grad F_k|^2 + L F_k**q,
-    and the server moves by sum(delta) / sum(h).  Client losses and
-    gradients are all evaluated at the incoming global model.
+    `_q_round`'s update with each client's gradient grad F_k as its direction;
+    client losses and gradients are all evaluated at the incoming global model.
     """
     ordered = _by_id(clients)
     # lazily, so each shard's gradient and loss run back to back and share one pass

@@ -16,8 +16,6 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .metrics import OBJECTIVE_KINDS, accuracy, eod, spd
 from .server import _by_id
 
@@ -132,13 +130,13 @@ def _texts(value):
     """(JSON text, CSV cell) of one reported value, formatted once for both.
 
     A finite float prints as `float.__repr__`, which is what `json.dumps`
-    and `str` both give it (numpy's float64 `str` too); an int prints as
-    `int.__repr__` and a string keeps json's ASCII escaping.  None is null
-    and an empty cell.  Anything else (NaN and the infinities, bools, other
-    types) takes `json.dumps` and `str`.
+    and `str` both give it; an int prints as `int.__repr__` and a string
+    keeps json's ASCII escaping.  None is null and an empty cell.  Anything
+    else (NaN and the infinities, bools, other types such as numpy's
+    float64) takes `json.dumps` and `str`.
     """
     kind = type(value)
-    if kind is float or kind is np.float64:
+    if kind is float:
         if math.isfinite(value):
             text = float.__repr__(value)
             return text, text

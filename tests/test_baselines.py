@@ -344,6 +344,7 @@ def _confidently_wrong(client_id, scale):
     [
         (400.0, 1.0, "F\\*\\*q"),  # 13**400 leaves the float range inside float **
         (269.0, 1e10, "delta"),  # 13**269 ~ 4e299 is finite; times a ~1e10 direction it is not
+        (200.0, 1e45, "h"),  # 13**200 ~ 6e222 times a ~1e45 direction is finite; 200 * 13**199 * |d|^2 is not
     ],
 )
 def test_qfed_rounds_report_overflow_as_a_numeric_error(q, scale, term):

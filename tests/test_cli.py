@@ -517,6 +517,26 @@ def test_eval_of_a_non_finite_cell_is_a_row_error(tmp_path, monkeypatch, cell):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("features", 0, "categories"), ["young"], "column 'age': numeric columns take no categories"),
+        (("features", 1, "categories"), ["ax", "ax"], "column 'work': duplicate categories"),
+        (("features",), [], "schema declares no feature columns"),
+        (("features", 1, "name"), "age", "duplicate feature column names"),
+    ],
+)
+def test_eval_under_an_invalid_schema_is_a_config_error(tmp_path, monkeypatch, path, value, message):
+    # well-formed JSON whose columns contradict each other
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("\n".join(_CSV_ROWS) + "\n")
+    write_json(Path("schema.json"), _with_fault(_csv_schema(), path, value))
+    write_json(Path("model.json"), {"weights": [0.5, -0.25, 0.25, 0.0, 1.0], "bias": 0.1})
+    assert _run_quietly(["eval", "model.json", "data.csv", "schema.json"]) == (
+        EXIT_CONFIG, "", f"config error: {message}\n"
+    )
+
+
 def test_eval_of_a_header_naming_a_schema_column_twice_is_a_config_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = _eval_csv([_CSV_ROWS[0] + ",sex"] + [row + ",F" for row in _CSV_ROWS[1:]])

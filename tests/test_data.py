@@ -55,6 +55,11 @@ def test_dataset_rejects_mismatched_rows():
         TabularDataset(np.zeros((3, 2)), [0, 1], [1, 0, 1])
 
 
+def test_dataset_rejects_features_that_are_not_2d():
+    with pytest.raises(DataError, match=re.escape("features must be 2-d, got shape (3,)")):
+        TabularDataset(np.zeros(3), [0, 1, 1], [1, 0, 1])
+
+
 def test_dataset_rejects_nonbinary_labels():
     for bad in (2, -1):
         with pytest.raises(DataError, match="labels must be binary"):
@@ -395,6 +400,10 @@ def test_schema_dict_is_the_file_form(adult_schema):
         (("typo",), 1, "unknown schema keys: ['typo']"),
         (("label", "extra"), 2, "unknown schema keys in label: ['extra']"),
         (("features", 0, "categoris"), ["a"], "unknown schema keys in features[0]: ['categoris']"),
+        (("features", 0, "categories"), ["young"], "column 'age': numeric columns take no categories"),
+        (("features", 1, "categories"), ["Private", "Private"], "column 'workclass': duplicate categories"),
+        (("features",), [], "schema declares no feature columns"),
+        (("features", 1, "name"), "age", "duplicate feature column names"),
     ],
 )
 def test_a_schema_dict_is_read_strictly(path, value, message):
@@ -664,6 +673,19 @@ def test_skew_requires_both_groups():
         skew(ds, SkewSpec(ratio=0.5), seed=0)
 
 
+def test_skew_that_would_empty_the_target_group_is_infeasible():
+    # group a has no positives, so group d's wanted rate is 0: all of its rows, each one positive, would go
+    ds = TabularDataset(np.zeros((6, 1)), [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0])
+    with pytest.raises(InfeasibleSkewError, match="^requested ratio 0.5 would empty group 'd'$"):
+        skew(ds, SkewSpec(ratio=0.5), seed=0)
+
+
+def test_skew_keeps_every_row_when_the_wanted_rate_is_one():
+    ds = TabularDataset(np.arange(6.0).reshape(6, 1), [1] * 6, [1, 1, 1, 0, 0, 0])
+    out = skew(ds, SkewSpec(ratio=1.0), seed=0)
+    assert np.array_equal(out.features, ds.features) and np.array_equal(out.sensitive, ds.sensitive)
+
+
 def test_skew_spec_validation():
     with pytest.raises(DataError):
         SkewSpec(ratio=0.0)
@@ -761,6 +783,11 @@ def test_partition_too_many_clients():
     ds = _tagged_dataset(3)
     with pytest.raises(InvalidPartitionError):
         partition(ds, [ClientSpec() for _ in range(4)], seed=0)
+
+
+def test_partition_needs_a_profile():
+    with pytest.raises(InvalidPartitionError, match="^need at least one client profile$"):
+        partition(_tagged_dataset(3), [], seed=0)
 
 
 def test_partition_deterministic_and_seed_sensitive():

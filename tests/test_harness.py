@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 import weakref
 from collections import Counter
@@ -89,6 +90,12 @@ def test_qfed_strategies_require_qfed_section():
         tiny_config(strategy="qfedsgd", qfed=None)
     with pytest.raises(ConfigError, match="qfed"):
         tiny_config(strategy="qfedavg", qfed=None)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+def test_config_rejects_an_afl_ascent_rate_that_is_not_positive_and_finite(rate):
+    with pytest.raises(ConfigError, match=f"^afl lambda_lr must be positive, got {rate}$"):
+        tiny_config(strategy="afl", afl_lambda_lr=rate)
 
 
 def test_config_dict_roundtrip():
@@ -358,6 +365,8 @@ def test_sweep_spec_validation():
         SweepSpec((), (SweepVariant("a", True),), (1,))
     with pytest.raises(ConfigError):
         SweepSpec((1,), (), (1,))
+    with pytest.raises(ConfigError, match="^sweep needs at least one replicate seed$"):
+        SweepSpec((1,), (SweepVariant("a", True),), ())
     with pytest.raises(ConfigError):
         SweepSpec((1,), (SweepVariant("a", True), SweepVariant("a", False)), (1,))
     spec = SweepSpec.from_dict(

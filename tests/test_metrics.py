@@ -293,6 +293,11 @@ def test_objective_spec_normalizes_kinds():
     assert spec.kinds == ("accuracy", "spd")
 
 
+def test_objective_spec_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="^unknown objective kind 'fairness'$"):
+        ObjectiveSpec((("accuracy", 1.0), ("Fairness", 1.0)))
+
+
 def test_objective_spec_rejects_duplicates_and_bad_weights():
     with pytest.raises(ConfigError):
         ObjectiveSpec((("accuracy", 1.0), ("accuracy", 2.0)))
