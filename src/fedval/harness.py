@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"strategy {self.strategy!r} requires a qfed section")
         if not (self.afl_lambda_lr > 0 and math.isfinite(self.afl_lambda_lr)):
             raise ConfigError(f"afl lambda_lr must be positive, got {self.afl_lambda_lr}")
+        # every round's seed derives from `seed`, and the resolved config does not write train.seed
+        if self.train.seed != 0:
+            raise ConfigError(f"train.seed must be 0 (round seeds derive from seed), got {self.train.seed!r}")
 
     def to_dict(self) -> dict:
         """Fully-resolved config: feeding this back reproduces the run."""
@@ -335,9 +338,13 @@ class SweepSpec:
     replicate_seeds: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cooperative_counts", tuple(int(c) for c in self.cooperative_counts))
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "replicate_seeds", tuple(int(s) for s in self.replicate_seeds))
+        for attr in ("cooperative_counts", "variants", "replicate_seeds"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
+        # codec.INT's rule, by which the JSON form is read: an int, not a bool, float or string
+        for attr in ("cooperative_counts", "replicate_seeds"):
+            for v in getattr(self, attr):
+                if type(v) is not int:
+                    raise ConfigError(f"sweep {attr} must be integers, got {v!r}")
         if not self.cooperative_counts:
             raise ConfigError("sweep needs at least one cooperative count")
         if not self.variants:

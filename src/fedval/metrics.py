@@ -13,14 +13,13 @@ a higher-is-better value in [0, 1]: accuracy stays as-is, the gaps become
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GROUP_A, GROUP_D, TabularDataset
 from .errors import ConfigError, MissingGroupError, MissingPositivesError, ShapeError
-from .model import ModelParams, is_positive
+from .model import ModelParams, _reuse_last, is_positive
 
 OBJECTIVE_KINDS = ("accuracy", "spd", "eod")
 
@@ -68,13 +67,7 @@ def _metric_values(kind: str, counts: np.ndarray, sizes: np.ndarray):
     raise ConfigError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_KINDS}")
 
 
-# the cell counts of the last model `_global_counts` classified: weak
-# references to its params and dataset, and the counts.  As with
-# `model._last_pass`, a reference whose object is gone never matches, and
-# the slot keeps no finished experiment's data alive.
-_last_counts = None
-
-
+@_reuse_last
 def _global_counts(params: ModelParams, dataset: TabularDataset):
     """`positive_counts` of the one model `params`, and the cell sizes.
 
@@ -82,15 +75,8 @@ def _global_counts(params: ModelParams, dataset: TabularDataset):
     same model share it.  The four counts and sizes are Python floats,
     whose arithmetic is float64's without numpy's per-scalar dispatch.
     """
-    global _last_counts
-    last = _last_counts
-    if last is not None and last[0]() is params and last[1]() is dataset:
-        counts = last[2]
-    else:
-        counts, _ = positive_counts(params.weights[None], np.array([params.bias]), dataset)
-        counts = tuple(counts[:, 0].tolist())
-        _last_counts = (weakref.ref(params), weakref.ref(dataset), counts)
-    return counts, dataset.cell_sizes.tolist()
+    counts, sizes = positive_counts(params.weights[None], np.array([params.bias]), dataset)
+    return tuple(counts[:, 0].tolist()), tuple(sizes.tolist())
 
 
 def accuracy(params: ModelParams, dataset: TabularDataset) -> float:

@@ -139,28 +139,32 @@ def _proba(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _sigmoid(z, out=z)
 
 
-# the last probability pass over a whole dataset: weak references to its
-# params and dataset, and the read-only probabilities.  Both inputs are
-# immutable.  A reference whose object is gone returns None and never
-# matches, so a recycled id cannot hit, and the slot keeps no finished
-# experiment's data alive.
-_last_pass = None
+def _reuse_last(compute):
+    """Wrap `compute(params, dataset)` to reuse its last completed result while both are the same objects.
 
-
-def _dataset_proba(params: ModelParams, dataset: TabularDataset) -> np.ndarray:
-    """`_proba` over all of `dataset`, shared by consecutive calls on the same pair.
-
-    `afl_round` and `qfedsgd_round` take `loss` and `gradient` of one shard
-    at one model, so the second call reads the first's pass.  The array is
-    read-only; callers write their results into new arrays.
+    `.slot` holds both, immutable, by weak reference: a dead one never matches,
+    so a recycled id cannot hit, and the slot keeps no input alive.
     """
-    global _last_pass
-    last = _last_pass
-    if last is not None and last[0]() is params and last[1]() is dataset:
-        return last[2]
+    def reuse(params, dataset):
+        slot = reuse.slot
+        if slot is not None and slot[0]() is params and slot[1]() is dataset:
+            return slot[2]
+        result = compute(params, dataset)
+        reuse.slot = (weakref.ref(params), weakref.ref(dataset), result)
+        return result
+    reuse.slot = None
+    return reuse
+
+
+@_reuse_last
+def _dataset_proba(params: ModelParams, dataset: TabularDataset) -> np.ndarray:
+    """`_proba` over all of `dataset` after its dimension check, read-only.
+
+    `loss` and `gradient` share it: `afl_round` and `qfedsgd_round` take both at one model.
+    """
+    _check_dim(params, dataset)
     p = _proba(params, dataset.features)
     p.flags.writeable = False
-    _last_pass = (weakref.ref(params), weakref.ref(dataset), p)
     return p
 
 
@@ -199,7 +203,6 @@ def classify(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def loss(params: ModelParams, dataset: TabularDataset) -> float:
     """Mean binary cross-entropy with probabilities clamped away from {0,1}."""
     n = dataset.n
-    _check_dim(params, dataset)
     p = np.maximum(_dataset_proba(params, dataset), _CLAMP)
     np.minimum(p, _CLAMP_HI, out=p)
     # one log per row, of p or 1 - p by label (the 0/1 labels select as
@@ -219,7 +222,6 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
 def gradient(params: ModelParams, dataset: TabularDataset):
     """Analytic loss gradient: (mean (p - y) x, mean (p - y))."""
     n = dataset.n
-    _check_dim(params, dataset)
     err = _dataset_proba(params, dataset) - dataset.labels
     # features.T @ err, not err.dot(features): on a one-row shard the dot
     # returns -0.0 where this gemv returns +0.0

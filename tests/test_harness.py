@@ -98,6 +98,16 @@ def test_config_rejects_an_afl_ascent_rate_that_is_not_positive_and_finite(rate)
         tiny_config(strategy="afl", afl_lambda_lr=rate)
 
 
+def test_config_rejects_a_train_seed_it_would_not_read():
+    # each round's seed derives from cfg.seed and to_dict writes no
+    # train.seed, so a nonzero one would neither act nor survive a round trip
+    with pytest.raises(ConfigError, match=r"^train\.seed must be 0 \(round seeds derive from seed\), got 5$"):
+        tiny_config(train=TrainConfig(lr=0.1, seed=5))
+    cfg = tiny_config(train=TrainConfig(lr=0.1, seed=0))
+    assert "seed" not in cfg.to_dict()["train"]
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_config_dict_roundtrip():
     cfg = tiny_config(
         strategy="fedval",
@@ -369,6 +379,18 @@ def test_sweep_spec_validation():
         SweepSpec((1,), (SweepVariant("a", True),), ())
     with pytest.raises(ConfigError):
         SweepSpec((1,), (SweepVariant("a", True), SweepVariant("a", False)), (1,))
+    # the constructor takes only ints, as the JSON form does: no float,
+    # string or bool is coerced
+    for counts, seeds, field, value in (
+        ((2.7, 3), (1,), "cooperative_counts", "2.7"),
+        ((2, "3"), (1,), "cooperative_counts", "'3'"),
+        ((True,), (1,), "cooperative_counts", "True"),
+        ((2,), (1.9,), "replicate_seeds", "1.9"),
+        ((2,), ("1",), "replicate_seeds", "'1'"),
+        ((2,), (False,), "replicate_seeds", "False"),
+    ):
+        with pytest.raises(ConfigError, match=f"^sweep {field} must be integers, got {value}$"):
+            SweepSpec(counts, (SweepVariant("r", True),), seeds)
     spec = SweepSpec.from_dict(
         {
             "cooperative_counts": [0, 2],

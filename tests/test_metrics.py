@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -207,16 +210,32 @@ def test_interleaved_evaluations_equal_the_plain_reference(seed, dim, calls):
         got = _bits_or_error(_EVALUATIONS[name][0], params, ds)
         assert got == _reference_outcome(name, params, ds), (model_index, data_index, name)
         # every cached pass is read-only and still holds its inputs' values
-        cached = _live(fedval.model._last_pass)
+        cached = _live(fedval.model._dataset_proba.slot)
         if cached is not None:
             cached_params, cached_ds, proba = cached
             assert not proba.flags.writeable
             want = reference_proba(cached_params, cached_ds.features)
             assert np.array_equal(proba.view(np.int64), want.view(np.int64))
-        cached = _live(fedval.metrics._last_counts)
+        cached = _live(fedval.metrics._global_counts.slot)
         if cached is not None:
-            cached_params, cached_ds, counts = cached
+            cached_params, cached_ds, (counts, _) = cached
             assert counts == tuple(classify(cached_params, cached_ds.features) @ cached_ds.cells)
+
+
+def test_the_reuse_slots_keep_no_input_alive():
+    # loss and gradient fill model's slot, the global metrics metrics'
+    # slot.  Neither may keep the model or a dataset alive, and a fresh
+    # pair must read its own values, whether or not it takes a freed id.
+    params, shard, split = random_params(4, 11), coverage_dataset(40, 4, 12), coverage_dataset(60, 4, 13)
+    for name, ds in (("gradient", shard), ("loss", shard), ("accuracy", split), ("spd", split), ("eod", split)):
+        _EVALUATIONS[name][0](params, ds)
+    refs = [weakref.ref(obj) for obj in (params, shard, split)]
+    del params, shard, split, ds  # ds: the loop's last dataset
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    params, shard, split = random_params(4, 21), coverage_dataset(40, 4, 22), coverage_dataset(60, 4, 23)
+    for name, ds in (("gradient", shard), ("loss", shard), ("accuracy", split), ("spd", split), ("eod", split)):
+        assert _bits_or_error(_EVALUATIONS[name][0], params, ds) == _reference_outcome(name, params, ds), name
 
 
 def test_spd_is_symmetric_in_groups():
