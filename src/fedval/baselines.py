@@ -11,7 +11,7 @@
 Every round function is pure and returns the new global model plus a
 `server.RoundInfo`: the effective per-client weights (always a probability
 vector), local losses and, in `extras`, the intermediates the update used
-(q-FFL's h_k).  `reporting.round_report` builds the round's report from
+(q-FFL's h_k).  `reporting.RoundWriter` writes the round's report from
 it, as it does for the fedval strategy.
 """
 

@@ -37,9 +37,9 @@ from .data import (
     split_validation,
 )
 from .errors import ConfigError, FedValError, UnknownPresetError
-from .metrics import ObjectiveSpec
+from .metrics import ObjectiveSpec, accuracy, eod, spd
 from .model import ModelParams, TrainConfig
-from .reporting import RoundWriter, read_jsonl, round_report
+from .reporting import RoundWriter, read_jsonl
 from .seeding import derive_seed
 from .server import AggregationWeights, RankingConfig, RankState, fedval_round
 
@@ -255,7 +255,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
                 params, info = qfedavg_round(params, clients, round_cfg, cfg.qfed)
             else:  # afl
                 params, state, info = afl_round(params, clients, state, round_cfg, cfg.afl_lambda_lr)
-            writer.write(round_report(t, params, validation, clients, info))
+            global_metrics = (accuracy(params, validation), spd(params, validation), eod(params, validation))
+            writer.write(t, global_metrics, clients, info)
 
     params.save(out / "final_model.json")
     return out

@@ -1,11 +1,11 @@
 """Per-round reports and their on-disk forms.
 
-Every strategy's round returns a `server.RoundInfo`; `round_report` turns
-it, with the new global model, into the round's RoundReport.  Reports
-serialize two ways: a JSON-lines stream (one object per round) and a flat
-CSV holding one row per client per round plus one global-metrics row per
-round.  Fields a strategy does not define (e.g. rank mass under FedAvg)
-stay null / empty.
+`RoundWriter.write` formats each round's `server.RoundInfo`, with the
+round's global metrics and client profiles, straight into a JSON-lines
+stream (one object per round) and a flat CSV holding one row per client
+per round plus one global-metrics row per round.  Fields a strategy does
+not define (e.g. rank mass under FedAvg) stay null / empty; `read_jsonl`
+reads the JSON lines back as `RoundReport`s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .metrics import OBJECTIVE_KINDS, accuracy, eod, spd
+from .errors import ConfigError
+from .metrics import OBJECTIVE_KINDS
 from .server import _by_id
 
 CSV_COLUMNS = (
@@ -79,45 +80,6 @@ class RoundReport:
         )
 
 
-def round_report(round_index: int, params, validation, clients, info) -> RoundReport:
-    """The report of one round of any strategy.
-
-    `params` is the round's new global model, evaluated once each by
-    accuracy, SPD and EOD on `validation`; `info` is the round's
-    `server.RoundInfo`.  Client records follow ascending client id.  With
-    rank mass in `info`, `rs_spread` is its max/min over `clients` (null
-    while some client has none).
-    """
-    p = dict(zip(info.weights.client_ids, info.weights.p))
-    scores, composite, rs = {}, {}, {}
-    if info.scores is not None:
-        scores = dict(zip(info.scores.client_ids, info.scores.per_objective))
-        composite = dict(zip(info.scores.client_ids, info.scores.composite))
-    if info.rank is not None:
-        rs = info.rank.rs
-    losses, records = info.losses, []
-    for c in _by_id(clients):
-        cid = c.client_id
-        # positional arguments: a frozen dataclass binds keywords at a higher cost
-        records.append(ClientRoundRecord(
-            cid, c.behavior, c.n, losses[cid], scores.get(cid), composite.get(cid), p[cid], rs.get(cid)
-        ))
-    records = tuple(records)
-    rs_spread = None
-    if info.rank is not None:
-        masses = [rs.get(c.client_id, 0.0) for c in records]
-        if min(masses) > 0:
-            rs_spread = max(masses) / min(masses)
-    return RoundReport(
-        round=round_index,
-        global_accuracy=accuracy(params, validation),
-        global_spd=spd(params, validation),
-        global_eod=eod(params, validation),
-        clients=records,
-        rs_spread=rs_spread,
-    )
-
-
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -168,52 +130,19 @@ _GLOBAL_BLANKS = "," * (3 + len(OBJECTIVE_KINDS) + 2)
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 
 
-def _serialize(report: RoundReport) -> tuple[str, str]:
-    """One report's rounds.jsonl line and rounds.csv lines, in one pass.
-
-    This is the one place the on-disk layout is written; `read_jsonl`
-    reads it back.  The line is `json.dumps` of the nested report object
-    plus a newline.  The CSV lines hold each client's fields in
-    `CSV_COLUMNS` order, then one global row; a missing value is an empty
-    cell, any other its `str`.  Every value is formatted once for both
-    forms; the bytes must match `json.dumps` and `csv.writer` over the
-    plain builders in `tests/helpers.py`.
-    """
-    round_text, round_cell = _texts(report.round)
-    objects, lines = [], []
-    for c in report.clients:
-        client_id, client_cell = _texts(c.client_id)
-        n, n_cell = _texts(c.n)
-        local_loss, loss_cell = _texts(c.local_loss)
-        p, p_cell = _texts(c.p)
-        # scores, composite and rs are fedval's alone: a check skips the call
-        scores, score_cells = _scores_texts(c.scores)
-        composite, composite_cell = _NULL if c.composite is None else _texts(c.composite)
-        rs, rs_cell = _NULL if c.rs is None else _texts(c.rs)
-        behavior = _texts(c.behavior)
-        objects.append(
-            f'{{"client_id": {client_id}, "behavior": {behavior[0]}, "n": {n}, '
-            f'"local_loss": {local_loss}, "scores": {scores}, "composite": {composite}, '
-            f'"p": {p}, "rs": {rs}}}'
-        )
-        lines.append(
-            f"{round_cell},client,{client_cell},{behavior[1]},{n_cell},{score_cells},"
-            f"{composite_cell},{p_cell},{rs_cell},{loss_cell},,,\r\n"
-        )
-    rs_spread = _texts(report.rs_spread)
-    acc = _texts(report.global_accuracy)
-    spd = _texts(report.global_spd)
-    eod = _texts(report.global_eod)
-    lines.append(f"{round_cell},global{_GLOBAL_BLANKS},{rs_spread[1]},,{acc[1]},{spd[1]},{eod[1]}\r\n")
-    line = (
-        f'{{"round": {round_text}, "global": {{"accuracy": {acc[0]}, "spd": {spd[0]}, '
-        f'"eod": {eod[0]}}}, "rs_spread": {rs_spread[0]}, "clients": [{", ".join(objects)}]}}\n'
+def _client_head(client_id, behavior, n) -> tuple[str, str]:
+    """A client's fixed texts: the head of its JSON object and its CSV cells from `client` to `n`."""
+    client_id, client_cell = _texts(client_id)
+    behavior, behavior_cell = _texts(behavior)
+    n, n_cell = _texts(n)
+    return (
+        f'{{"client_id": {client_id}, "behavior": {behavior}, "n": {n}, ',
+        f",client,{client_cell},{behavior_cell},{n_cell},",
     )
-    return line, "".join(lines)
 
 
 class RoundWriter:
-    """Streams reports to new rounds.jsonl and rounds.csv files as rounds complete.
+    """Streams each round to new rounds.jsonl and rounds.csv files as it completes.
 
     Each write is flushed so an aborted run keeps every finished round.
     """
@@ -225,12 +154,70 @@ class RoundWriter:
         self._csv = open(self.csv_path, "w", newline="", encoding="utf-8")
         self._csv.write(_CSV_HEADER)
         self._csv.flush()
+        # each client's `_client_head` texts by (client_id, behavior, n), formatted on first sight
+        self._heads = {}
 
-    def write(self, report: RoundReport) -> None:
-        line, rows = _serialize(report)
-        self._jsonl.write(line)
+    def write(self, round_index: int, global_metrics, clients, info) -> None:
+        """Append one round of any strategy to both files.
+
+        `global_metrics` is the new global model's (accuracy, spd, eod).
+        Each client of `clients`, in ascending id, takes its p, loss,
+        scores, composite and rank mass from `info`, the round's
+        `server.RoundInfo`, by id.  With rank mass in `info`, `rs_spread` is
+        its max/min over `clients` (null while some client has none).
+
+        This is the one place the on-disk layout is written.  The line is
+        `json.dumps` of the nested report object plus a newline.  The CSV
+        lines hold each client's fields in `CSV_COLUMNS` order, then one
+        global row; a missing value is an empty cell, any other its `str`.
+        Every value is formatted once for both forms; the bytes must match
+        `json.dumps` and `csv.writer` over the plain builders in `tests/helpers.py`.
+        """
+        p = dict(zip(info.weights.client_ids, info.weights.p))
+        scores, composite, rs = {}, {}, {}
+        if info.scores is not None:
+            scores = dict(zip(info.scores.client_ids, info.scores.per_objective))
+            composite = dict(zip(info.scores.client_ids, info.scores.composite))
+        if info.rank is not None:
+            rs = info.rank.rs
+        losses, heads, ordered = info.losses, self._heads, _by_id(clients)
+        round_text, round_cell = _texts(round_index)
+        objects, lines = [], []
+        for c in ordered:
+            cid = c.client_id
+            key = (cid, c.behavior, c.n)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _client_head(*key)
+            local_loss, loss_cell = _texts(losses[cid])
+            p_text, p_cell = _texts(p[cid])
+            # scores, composite and rs are fedval's alone: a check skips the call
+            score_text, score_cells = _scores_texts(scores.get(cid))
+            value = composite.get(cid)
+            composite_text, composite_cell = _NULL if value is None else _texts(value)
+            value = rs.get(cid)
+            rs_text, rs_cell = _NULL if value is None else _texts(value)
+            objects.append(
+                f'{head[0]}"local_loss": {local_loss}, "scores": {score_text}, '
+                f'"composite": {composite_text}, "p": {p_text}, "rs": {rs_text}}}'
+            )
+            lines.append(
+                f"{round_cell}{head[1]}{score_cells},{composite_cell},{p_cell},{rs_cell},{loss_cell},,,\r\n"
+            )
+        rs_spread = None
+        if info.rank is not None:
+            masses = [rs.get(c.client_id, 0.0) for c in ordered]
+            if min(masses) > 0:
+                rs_spread = max(masses) / min(masses)
+        spread = _texts(rs_spread)
+        acc, spd, eod = map(_texts, global_metrics)
+        lines.append(f"{round_cell},global{_GLOBAL_BLANKS},{spread[1]},,{acc[1]},{spd[1]},{eod[1]}\r\n")
+        self._jsonl.write(
+            f'{{"round": {round_text}, "global": {{"accuracy": {acc[0]}, "spd": {spd[0]}, '
+            f'"eod": {eod[0]}}}, "rs_spread": {spread[0]}, "clients": [{", ".join(objects)}]}}\n'
+        )
         self._jsonl.flush()
-        self._csv.write(rows)
+        self._csv.write("".join(lines))
         self._csv.flush()
 
     def close(self) -> None:
@@ -245,11 +232,23 @@ class RoundWriter:
 
 
 def read_jsonl(path) -> list[RoundReport]:
-    """Load a rounds.jsonl stream back into RoundReport objects."""
+    """Load a rounds.jsonl stream back into RoundReport objects.
+
+    Blank lines are skipped.  A line that is not UTF-8, not JSON or not a
+    report object is a ConfigError naming the file and the line's number.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     reports = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    # bytes.splitlines breaks at \n, \r and \r\n, as a text file's lines do
+    for number, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
             if line:
                 reports.append(RoundReport.from_json_obj(json.loads(line)))
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            # ValueError covers UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(
+                f"{path}, line {number}: not a round report ({type(exc).__name__}: {exc})"
+            ) from exc
     return reports

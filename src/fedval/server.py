@@ -11,7 +11,7 @@ mu * rho**i, so consistently useful clients compound their influence.
 `fedval_round` returns the new global model, the new rank state and a
 `RoundInfo`: what the round did (weights, local losses, scores, rank mass).
 Every strategy returns a `RoundInfo` of the same kind, and
-`reporting.round_report` turns any of them into the round's report.
+`reporting.RoundWriter` writes any of them as the round's report.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -12,8 +14,9 @@ from fedval.errors import (
     NumericOverflowError,
     ShapeError,
 )
-from fedval.metrics import _BLOCK, OBJECTIVE_KINDS
+from fedval.metrics import _BLOCK, OBJECTIVE_KINDS, accuracy, eod, spd
 from fedval.model import _CLAMP, ModelParams, TrainConfig, classify, client_update, is_positive
+from fedval.reporting import ClientRoundRecord, RoundReport, RoundWriter, read_jsonl
 from fedval.seeding import derive_seed
 from fedval.server import AggregationWeights
 
@@ -213,6 +216,59 @@ def reference_eod(params, dataset):
 # ---------------------------------------------------------------------------
 # references for the one-pass report writer
 # ---------------------------------------------------------------------------
+
+
+def reference_round_report(round_index, global_metrics, clients, info):
+    """The RoundReport that `RoundWriter.write` of the same arguments must write.
+
+    Client records follow ascending client id and take their p, loss,
+    scores, composite and rank mass from `info` by id.  With rank mass in
+    `info`, `rs_spread` is its max/min over `clients` (None while some
+    client has none).
+    """
+    p = dict(zip(info.weights.client_ids, info.weights.p))
+    scores, composite, rs = {}, {}, {}
+    if info.scores is not None:
+        scores = dict(zip(info.scores.client_ids, info.scores.per_objective))
+        composite = dict(zip(info.scores.client_ids, info.scores.composite))
+    if info.rank is not None:
+        rs = info.rank.rs
+    records = tuple(
+        ClientRoundRecord(
+            client_id=c.client_id,
+            behavior=c.behavior,
+            n=c.n,
+            local_loss=info.losses[c.client_id],
+            scores=scores.get(c.client_id),
+            composite=composite.get(c.client_id),
+            p=p[c.client_id],
+            rs=rs.get(c.client_id),
+        )
+        for c in sorted(clients, key=lambda c: c.client_id)
+    )
+    rs_spread = None
+    if info.rank is not None:
+        masses = [rs.get(c.client_id, 0.0) for c in records]
+        if min(masses) > 0:
+            rs_spread = max(masses) / min(masses)
+    global_accuracy, global_spd, global_eod = global_metrics
+    return RoundReport(round_index, global_accuracy, global_spd, global_eod, records, rs_spread)
+
+
+def written_report(round_index, params, validation, clients, info):
+    """The report a run writes for one round, read back through `read_jsonl`.
+
+    The global metrics are `params`' accuracy, SPD and EOD on `validation`,
+    as `run_experiment` hands them to the writer.
+    """
+    global_metrics = (accuracy(params, validation), spd(params, validation), eod(params, validation))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with RoundWriter(out) as writer:
+            writer.write(round_index, global_metrics, clients, info)
+        [report] = read_jsonl(out / "rounds.jsonl")
+    return report
+
 
 
 def reference_json_obj(report):

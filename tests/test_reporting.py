@@ -2,15 +2,19 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedval.data import BEHAVIORS, ClientProfile
+from fedval.errors import ConfigError
 from fedval.metrics import OBJECTIVE_KINDS, ScoreVector, accuracy, eod, spd
 from fedval.reporting import (
     CSV_COLUMNS,
@@ -18,10 +22,16 @@ from fedval.reporting import (
     RoundReport,
     RoundWriter,
     read_jsonl,
-    round_report,
 )
 from fedval.server import AggregationWeights, RankState, RoundInfo
-from helpers import UNIT_MODEL, coverage_dataset, reference_csv_rows, reference_json_obj
+from helpers import (
+    UNIT_MODEL,
+    coverage_dataset,
+    reference_csv_rows,
+    reference_json_obj,
+    reference_round_report,
+    written_report,
+)
 
 
 def sample_report(round_index=1, with_rank=True):
@@ -63,6 +73,44 @@ def baseline_report(round_index=1):
         ClientRoundRecord(client_id=1, behavior="cooperative", n=40, local_loss=0.6, p=0.5),
     )
     return RoundReport(1, 0.7, 0.1, 0.05, clients)
+
+
+def writer_args(report):
+    """`RoundWriter.write`'s arguments for `report`, with stand-ins for the objects it reads.
+
+    The client profiles come in descending id order.  The RoundInfo's
+    weights, losses and scores hold each client's p, local_loss, scores and
+    composite (no scores at all when every client has neither), and its rank
+    each rs that is not None (no rank when none is).  `report.rs_spread` is
+    not carried: the writer derives it from the rank.
+    """
+    records = report.clients
+    ids = [c.client_id for c in records]
+    scores = None
+    if any(c.scores is not None or c.composite is not None for c in records):
+        scores = SimpleNamespace(
+            client_ids=ids, per_objective=[c.scores for c in records], composite=[c.composite for c in records]
+        )
+    masses = {c.client_id: c.rs for c in records if c.rs is not None}
+    info = SimpleNamespace(
+        weights=SimpleNamespace(client_ids=ids, p=[c.p for c in records]),
+        losses={c.client_id: c.local_loss for c in records},
+        scores=scores,
+        rank=SimpleNamespace(rs=masses) if masses else None,
+    )
+    clients = [SimpleNamespace(client_id=c.client_id, behavior=c.behavior, n=c.n) for c in reversed(records)]
+    return report.round, (report.global_accuracy, report.global_spd, report.global_eod), clients, info
+
+
+def library_bytes(reports):
+    """The rounds.jsonl and rounds.csv bytes of `reports`: `json.dumps` and `csv.writer` over the plain rows."""
+    want_csv = io.StringIO(newline="")
+    rows = csv.writer(want_csv)
+    rows.writerow(CSV_COLUMNS)
+    for report in reports:
+        rows.writerows(reference_csv_rows(report))
+    want_jsonl = "".join(json.dumps(reference_json_obj(report)) + "\n" for report in reports)
+    return want_jsonl.encode("utf-8"), want_csv.getvalue().encode("utf-8")
 
 
 def test_json_roundtrip_preserves_everything():
@@ -148,7 +196,7 @@ def _two_clients():
 def test_round_report_of_a_baseline_round():
     validation = coverage_dataset(30, 1, seed=3)
     info = RoundInfo(AggregationWeights((7, 2), (0.25, 0.75)), {2: 0.4, 7: 0.9}, {"h": 1.0})
-    report = round_report(5, UNIT_MODEL, validation, _two_clients(), info)
+    report = written_report(5, UNIT_MODEL, validation, _two_clients(), info)
     assert report == RoundReport(
         round=5,
         global_accuracy=accuracy(UNIT_MODEL, validation),
@@ -166,7 +214,7 @@ def test_round_report_of_a_scored_and_ranked_round():
     scores = ScoreVector((2, 7), (1.5, 0.5), ({"accuracy": 1.5}, {"accuracy": 0.5}))
     weights = AggregationWeights((2, 7), (0.8, 0.2))
     info = RoundInfo(weights, {2: 0.4, 7: 0.9}, {}, scores, RankState({2: 4.0, 7: 1.0}))
-    report = round_report(1, UNIT_MODEL, validation, _two_clients(), info)
+    report = written_report(1, UNIT_MODEL, validation, _two_clients(), info)
     assert [(c.client_id, c.scores, c.composite, c.p, c.rs) for c in report.clients] == [
         (2, {"accuracy": 1.5}, 1.5, 0.8, 4.0),
         (7, {"accuracy": 0.5}, 0.5, 0.2, 1.0),
@@ -174,20 +222,20 @@ def test_round_report_of_a_scored_and_ranked_round():
     assert report.rs_spread == 4.0
     # a client without mass leaves the spread undefined
     unranked = RoundInfo(weights, info.losses, {}, scores, RankState({2: 4.0, 7: 0.0}))
-    report = round_report(1, UNIT_MODEL, validation, _two_clients(), unranked)
+    report = written_report(1, UNIT_MODEL, validation, _two_clients(), unranked)
     assert report.clients[1].rs == 0.0 and report.rs_spread is None
     # with ranking off, no mass and no spread
-    report = round_report(1, UNIT_MODEL, validation, _two_clients(), RoundInfo(weights, info.losses, {}, scores))
+    report = written_report(1, UNIT_MODEL, validation, _two_clients(), RoundInfo(weights, info.losses, {}, scores))
     assert [c.rs for c in report.clients] == [None, None] and report.rs_spread is None
 
 
 def test_round_writer_streams_both_formats(tmp_path):
     with RoundWriter(tmp_path) as writer:
-        writer.write(sample_report(round_index=1))
-        writer.write(sample_report(round_index=2))
+        writer.write(*writer_args(sample_report(round_index=1)))
+        writer.write(*writer_args(sample_report(round_index=2)))
 
     reports = read_jsonl(tmp_path / "rounds.jsonl")
-    assert [r.round for r in reports] == [1, 2]
+    assert reports == [sample_report(round_index=1), sample_report(round_index=2)]
 
     with open(tmp_path / "rounds.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -200,6 +248,54 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
     obj = json.dumps(reference_json_obj(sample_report()))
     path.write_text(obj + "\n\n" + obj + "\n")
     assert len(read_jsonl(path)) == 2
+
+
+_GOOD_LINE = json.dumps(reference_json_obj(sample_report())).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [
+    _GOOD_LINE[: len(_GOOD_LINE) // 2],
+    b"[1, 2]",
+    json.dumps({**reference_json_obj(baseline_report()), "clients": [{"client_id": 0}]}).encode("utf-8"),
+    b'{"round": 1, "note": "caf\xe9"}',
+], ids=["truncated", "not-an-object", "client-missing-keys", "not-utf-8"])
+def test_read_jsonl_names_the_line_of_a_malformed_report(tmp_path, bad):
+    path = tmp_path / "rounds.jsonl"
+    path.write_bytes(_GOOD_LINE + b"\n" + bad + b"\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}, line 2: not a round report"):
+        read_jsonl(path)
+
+
+def test_round_writer_formats_each_client_as_it_is_in_its_round(tmp_path):
+    # one writer, three rounds: client 1 changes its behavior, then its shard
+    # size, then client 2 joins.  A memo of the fixed texts keyed on the id
+    # alone would write round 1's behavior and size again.
+    zero = ClientProfile(0, "cooperative", coverage_dataset(12, 1, seed=2))
+    shard8, shard10 = coverage_dataset(8, 1, seed=1), coverage_dataset(10, 1, seed=4)
+    rounds = (
+        [zero, ClientProfile(1, "cooperative", shard8)],
+        [ClientProfile(1, "uncooperative", shard8), zero],
+        [ClientProfile(2, "cooperative", shard8), zero, ClientProfile(1, "uncooperative", shard10)],
+    )
+    args = []
+    for t, clients in enumerate(rounds, 1):
+        ids = sorted(c.client_id for c in clients)
+        weights = AggregationWeights(ids, [1.0 / len(ids)] * len(ids))
+        losses = {cid: 0.25 * (cid + t) for cid in ids}
+        scores = ScoreVector(ids, [1.0 + cid for cid in ids], [{"accuracy": 0.5 * t} for _ in ids])
+        rank = RankState({cid: cid + 1.0 for cid in ids}) if t == 3 else None
+        info = RoundInfo(weights, losses, {}, None if t == 2 else scores, rank)
+        args.append((t, (0.5, 0.125, 0.0625 * t), clients, info))
+    with RoundWriter(tmp_path) as writer:
+        for round_args in args:
+            writer.write(*round_args)
+    want = [reference_round_report(*round_args) for round_args in args]
+    assert [(c.behavior, c.n) for c in want[2].clients] == [("cooperative", 12), ("uncooperative", 10),
+                                                            ("cooperative", 8)]
+    want_jsonl, want_csv = library_bytes(want)
+    assert (tmp_path / "rounds.jsonl").read_bytes() == want_jsonl
+    assert (tmp_path / "rounds.csv").read_bytes() == want_csv
+    assert read_jsonl(tmp_path / "rounds.jsonl") == want
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +321,8 @@ _SCORES = st.one_of(
     st.fixed_dictionaries({kind: _VALUES for kind in OBJECTIVE_KINDS}),
     st.dictionaries(st.sampled_from((*OBJECTIVE_KINDS, "extra")), _VALUES, max_size=4),
 )
+# the writer derives rs_spread from the rank mass, so a mass is a float:
+# what a RankState holds, NaN and the infinities included
 _CLIENTS = st.builds(
     ClientRoundRecord,
     client_id=st.integers(0, 10**6),
@@ -234,7 +332,7 @@ _CLIENTS = st.builds(
     scores=_SCORES,
     composite=_VALUES,
     p=_VALUES,
-    rs=_VALUES,
+    rs=st.one_of(st.none(), _FLOATS),
 )
 _REPORTS = st.builds(
     RoundReport,
@@ -242,8 +340,7 @@ _REPORTS = st.builds(
     global_accuracy=_VALUES,
     global_spd=_VALUES,
     global_eod=_VALUES,
-    clients=st.lists(_CLIENTS, max_size=4).map(tuple),
-    rs_spread=_VALUES,
+    clients=st.lists(_CLIENTS, max_size=4, unique_by=lambda c: c.client_id).map(tuple),
 )
 
 
@@ -254,16 +351,13 @@ _REPORTS = st.builds(
 def test_round_writer_bytes_equal_the_library_forms(reports):
     # exactness bound: none.  Each value is formatted once for both files,
     # and the bytes must be json.dumps's and csv.writer's over the plain rows
-    want_csv = io.StringIO(newline="")
-    rows = csv.writer(want_csv)
-    rows.writerow(CSV_COLUMNS)
-    for report in reports:
-        rows.writerows(reference_csv_rows(report))
-    want_jsonl = "".join(json.dumps(reference_json_obj(report)) + "\n" for report in reports)
+    # of the oracle's report of the same arguments
+    args = [writer_args(report) for report in reports]
+    want_jsonl, want_csv = library_bytes([reference_round_report(*round_args) for round_args in args])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with RoundWriter(out) as writer:
-            for report in reports:
-                writer.write(report)
-        assert (out / "rounds.jsonl").read_bytes() == want_jsonl.encode("utf-8")
-        assert (out / "rounds.csv").read_bytes() == want_csv.getvalue().encode("utf-8")
+            for round_args in args:
+                writer.write(*round_args)
+        assert (out / "rounds.jsonl").read_bytes() == want_jsonl
+        assert (out / "rounds.csv").read_bytes() == want_csv

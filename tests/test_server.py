@@ -26,7 +26,6 @@ from fedval.errors import (
 )
 from fedval.metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, objective_score, spd
 from fedval.model import ModelParams, TrainConfig, classify, client_update, loss
-from fedval.reporting import round_report
 from fedval.server import (
     AggregationWeights,
     RankingConfig,
@@ -48,6 +47,7 @@ from helpers import (
     reference_eod,
     reference_json_obj,
     reference_spd,
+    written_report,
 )
 
 ALL_THREE = ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0)))
@@ -505,7 +505,7 @@ def test_fedval_round_report_shape(small_world):
         RankingConfig(), RankState.zeros([c.client_id for c in clients]),
     )
     assert info.rank is None  # ranking off
-    report = round_report(3, new_global, validation, clients, info)
+    report = written_report(3, new_global, validation, clients, info)
     assert report.round == 3
     assert [c.client_id for c in report.clients] == [0, 1, 2]
     assert sum(c.p for c in report.clients) == pytest.approx(1.0, abs=1e-12)
@@ -528,8 +528,8 @@ def test_fedval_round_is_deterministic(small_world):
     b_global, _, b_info = fedval_round(*args, RankingConfig(), state0)
     assert np.array_equal(a_global.weights, b_global.weights)
     assert a_global.bias == b_global.bias
-    a_report = round_report(1, a_global, validation, clients, a_info)
-    b_report = round_report(1, b_global, validation, clients, b_info)
+    a_report = written_report(1, a_global, validation, clients, a_info)
+    b_report = written_report(1, b_global, validation, clients, b_info)
     assert reference_json_obj(a_report) == reference_json_obj(b_report)
 
 
@@ -540,8 +540,8 @@ def test_fedval_round_client_order_does_not_matter(small_world):
     a, _, ia = fedval_round(ModelParams.zeros(4), clients, validation, ALL_THREE, cfg, RankingConfig(), state0)
     b, _, ib = fedval_round(ModelParams.zeros(4), clients[::-1], validation, ALL_THREE, cfg, RankingConfig(), state0)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    ra = round_report(1, a, validation, clients, ia)
-    rb = round_report(1, b, validation, clients[::-1], ib)
+    ra = written_report(1, a, validation, clients, ia)
+    rb = written_report(1, b, validation, clients[::-1], ib)
     assert reference_json_obj(ra) == reference_json_obj(rb)
 
 
@@ -552,12 +552,12 @@ def test_fedval_round_ranking_accumulates(small_world):
     state = RankState.zeros([c.client_id for c in clients])
     params = ModelParams.zeros(4)
     params, state, info1 = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state)
-    report1 = round_report(1, params, validation, clients, info1)
+    report1 = written_report(1, params, validation, clients, info1)
     assert sorted(state.rs.values()) == [1.0, 2.0, 4.0]
     assert report1.rs_spread == 4.0
     assert all(c.rs is not None for c in report1.clients)
     params, state, info2 = fedval_round(params, clients, validation, ALL_THREE, cfg, rank_cfg, state)
-    report2 = round_report(2, params, validation, clients, info2)
+    report2 = written_report(2, params, validation, clients, info2)
     assert sum(state.rs.values()) == pytest.approx(14.0, abs=1e-12)
     # weights now come from the mass, not the raw scores
     expected = {c.client_id: state.rs[c.client_id] / 14.0 for c in clients}
@@ -576,7 +576,7 @@ def test_fedval_round_uniform_when_clients_are_identical():
         ModelParams.zeros(3), clients, validation, ALL_THREE, cfg,
         RankingConfig(), RankState.zeros([0, 1, 2]),
     )
-    report = round_report(1, new_global, validation, clients, info)
+    report = written_report(1, new_global, validation, clients, info)
     for c in report.clients:
         assert c.p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -594,7 +594,7 @@ def test_fedval_round_replays_as_published_pipeline(small_world):
     new_global, new_state, info = fedval_round(
         start, clients, validation, ALL_THREE, cfg, rank_cfg, state0, alpha=0.4,
     )
-    report = round_report(3, new_global, validation, clients, info)
+    report = written_report(3, new_global, validation, clients, info)
 
     ordered = sorted(clients, key=lambda c: c.client_id)
     updated = [
