@@ -270,7 +270,6 @@ def written_report(round_index, params, validation, clients, info):
     return report
 
 
-
 def reference_json_obj(report):
     """One report as the nested object its rounds.jsonl line is `json.dumps` of."""
     return {

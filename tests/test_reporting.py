@@ -78,7 +78,7 @@ def baseline_report(round_index=1):
 def writer_args(report):
     """`RoundWriter.write`'s arguments for `report`, with stand-ins for the objects it reads.
 
-    The client profiles come in descending id order.  The RoundInfo's
+    The client profiles come in the reverse of the report's order.  The RoundInfo's
     weights, losses and scores hold each client's p, local_loss, scores and
     composite (no scores at all when every client has neither), and its rank
     each rs that is not None (no rank when none is).  `report.rs_spread` is
