@@ -68,9 +68,8 @@ def main():
     for strategy in sorted(STRATEGIES):
         cfg = replace(base, strategy=strategy, out_dir=f"{args.out_dir}/{strategy}")
         run_dir = run_experiment(cfg)
-        last = read_jsonl(run_dir / "rounds.jsonl")[-1]
-        print(f"{strategy:>8} {last.global_accuracy:7.4f} "
-              f"{last.global_spd:7.4f} {last.global_eod:7.4f}")
+        final = read_jsonl(run_dir / "rounds.jsonl")[-1]["global"]
+        print(f"{strategy:>8} {final['accuracy']:7.4f} {final['spd']:7.4f} {final['eod']:7.4f}")
     print(f"\nartifacts under {args.out_dir}/<strategy>/")
 
 

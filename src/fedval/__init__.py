@@ -31,7 +31,7 @@ from .harness import (
 )
 from .metrics import ObjectiveSpec, ScoreVector, accuracy, composite_score, eod, spd
 from .model import ModelParams, TrainConfig, client_update, gradient, loss, predict_proba
-from .reporting import RoundReport, read_jsonl
+from .reporting import read_jsonl
 from .server import (
     AggregationWeights,
     RankingConfig,

@@ -287,10 +287,12 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     zero-variance column becomes all zeros.  Categorical columns expand to
     one-hot indicators in declared category order.  Cells are whitespace-
     stripped before interpretation; empty cells are hard errors.  Columns
-    not mentioned by the schema are ignored.
+    not mentioned by the schema are ignored.  A leading UTF-8 byte-order
+    mark, as Excel's "CSV UTF-8" export writes, is dropped.  A row csv cannot
+    read (a cell over its field size limit) is a RowParseError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
@@ -299,6 +301,8 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyDatasetError(f"{path}: file is empty") from None
+    except csv.Error as exc:  # e.g. a cell over csv's field size limit
+        raise RowParseError(f"{path}: header: {exc}") from None
     col_index = {name: i for i, name in enumerate(header)}
     needed = [c.name for c in schema.features] + [schema.label, schema.sensitive]
     for name in needed:
@@ -308,39 +312,43 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
             raise SchemaError(f"{path}: column {name!r} appears more than once in header")
 
     rows, labels, sens = [], [], []
-    for rownum, raw in enumerate(reader, start=1):
-        if len(raw) != len(header):
-            raise RowParseError(
-                f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
-            )
-        cells = [c.strip() for c in raw]
-        for name in needed:
-            if cells[col_index[name]] == "":
-                raise RowParseError(f"{path}: row {rownum}: column {name!r} is empty")
-        feats: list[float] = []
-        for spec in schema.features:
-            cell = cells[col_index[spec.name]]
-            if spec.kind == "numeric":
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan  # not a number: reported below
-                if not math.isfinite(value):  # nan, inf or 1e400 would reach the z-scores
-                    raise RowParseError(
-                        f"{path}: row {rownum}: column {spec.name!r}: "
-                        f"cannot parse {cell!r} as a finite number"
-                    )
-                feats.append(value)
-            else:
-                if cell not in spec.categories:
-                    raise RowParseError(
-                        f"{path}: row {rownum}: column {spec.name!r}: "
-                        f"value {cell!r} not in declared categories"
-                    )
-                feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
-        labels.append(int(cells[col_index[schema.label]] == schema.label_positive))
-        sens.append(int(cells[col_index[schema.sensitive]] == schema.sensitive_advantaged))
-        rows.append(feats)
+    rownum = 0
+    try:
+        for rownum, raw in enumerate(reader, start=1):
+            if len(raw) != len(header):
+                raise RowParseError(
+                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
+                )
+            cells = [c.strip() for c in raw]
+            for name in needed:
+                if cells[col_index[name]] == "":
+                    raise RowParseError(f"{path}: row {rownum}: column {name!r} is empty")
+            feats: list[float] = []
+            for spec in schema.features:
+                cell = cells[col_index[spec.name]]
+                if spec.kind == "numeric":
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan  # not a number: reported below
+                    if not math.isfinite(value):  # nan, inf or 1e400 would reach the z-scores
+                        raise RowParseError(
+                            f"{path}: row {rownum}: column {spec.name!r}: "
+                            f"cannot parse {cell!r} as a finite number"
+                        )
+                    feats.append(value)
+                else:
+                    if cell not in spec.categories:
+                        raise RowParseError(
+                            f"{path}: row {rownum}: column {spec.name!r}: "
+                            f"value {cell!r} not in declared categories"
+                        )
+                    feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
+            labels.append(int(cells[col_index[schema.label]] == schema.label_positive))
+            sens.append(int(cells[col_index[schema.sensitive]] == schema.sensitive_advantaged))
+            rows.append(feats)
+    except csv.Error as exc:  # raised while reading the row after `rownum`
+        raise RowParseError(f"{path}: row {rownum + 1}: {exc}") from None
 
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")

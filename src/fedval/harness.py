@@ -444,12 +444,7 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
                 )
                 try:
                     run_dir = run_experiment(cfg)
-                    last = read_jsonl(run_dir / "rounds.jsonl")[-1]
-                    final = {
-                        "accuracy": last.global_accuracy,
-                        "spd": last.global_spd,
-                        "eod": last.global_eod,
-                    }
+                    final = read_jsonl(run_dir / "rounds.jsonl")[-1]["global"]
                     cells.append(CellResult(count, variant.name, seed, run_dir, final))
                     finals.append(final)
                 except (FedValError, OSError, MemoryError) as exc:  # one cell's failure; the others still run

@@ -5,7 +5,7 @@ round's global metrics and client profiles, straight into a JSON-lines
 stream (one object per round) and a flat CSV holding one row per client
 per round plus one global-metrics row per round.  Fields a strategy does
 not define (e.g. rank mass under FedAvg) stay null / empty; `read_jsonl`
-reads the JSON lines back as `RoundReport`s.
+reads the JSON lines back as the objects the writer wrote.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError
@@ -35,49 +34,6 @@ CSV_COLUMNS = (
     "spd",
     "eod",
 )
-
-
-@dataclass(frozen=True)
-class ClientRoundRecord:
-    """One client's view of one round.
-
-    `local_loss` is the client's loss on its own shard, but at a different
-    model per strategy: at the client's local model after SGD for fedval
-    and fedavg, and at the incoming global model (the F_k the update uses)
-    for qfedsgd, qfedavg and afl.
-    """
-
-    client_id: int
-    behavior: str
-    n: int
-    local_loss: float
-    scores: dict | None = None      # raw per-objective scores, fedval only
-    composite: float | None = None  # weighted score, fedval only
-    p: float | None = None          # aggregation weight actually used
-    rs: float | None = None         # cumulative rank mass, ranking only
-
-
-@dataclass(frozen=True)
-class RoundReport:
-    """Global validation metrics plus per-client details for one round."""
-
-    round: int
-    global_accuracy: float
-    global_spd: float
-    global_eod: float
-    clients: tuple[ClientRoundRecord, ...]
-    rs_spread: float | None = None  # max/min rank mass, ranking only
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RoundReport":
-        return RoundReport(
-            round=obj["round"],
-            global_accuracy=obj["global"]["accuracy"],
-            global_spd=obj["global"]["spd"],
-            global_eod=obj["global"]["eod"],
-            rs_spread=obj.get("rs_spread"),
-            clients=tuple(ClientRoundRecord(**c) for c in obj["clients"]),  # keys are the field names
-        )
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
@@ -166,8 +122,13 @@ class RoundWriter:
         `server.RoundInfo`, by id.  With rank mass in `info`, `rs_spread` is
         its max/min over `clients` (null while some client has none).
 
+        `local_loss` is the client's loss on its own shard, at the model its
+        strategy takes it at: the client's local model after SGD for fedval
+        and fedavg, and the incoming global model (the F_k the update uses)
+        for qfedsgd, qfedavg and afl.
+
         This is the one place the on-disk layout is written.  The line is
-        `json.dumps` of the nested report object plus a newline.  The CSV
+        `json.dumps` of the nested round object plus a newline.  The CSV
         lines hold each client's fields in `CSV_COLUMNS` order, then one
         global row; a missing value is an empty cell, any other its `str`.
         Every value is formatted once for both forms; the bytes must match
@@ -231,24 +192,53 @@ class RoundWriter:
         self.close()
 
 
-def read_jsonl(path) -> list[RoundReport]:
-    """Load a rounds.jsonl stream back into RoundReport objects.
+_GLOBAL_KEYS = frozenset(("accuracy", "spd", "eod"))
+_CLIENT_KEYS = frozenset(("client_id", "behavior", "n", "local_loss"))
+_CLIENT_ALLOWED = _CLIENT_KEYS | {"scores", "composite", "p", "rs"}
+
+
+def _round_object(obj):
+    """`obj` if it is a round object as `RoundWriter.write` writes one, else a ValueError saying why.
+
+    A round holds `round`, `global` (an object holding `accuracy`, `spd` and
+    `eod`) and `clients`, a list of objects; `rs_spread` may be absent.  Each
+    client holds `client_id`, `behavior`, `n` and `local_loss`, may hold
+    `scores`, `composite`, `p` and `rs`, and holds no other key.
+    """
+    if not isinstance(obj, dict) or not {"round", "global", "clients"} <= obj.keys():
+        raise ValueError("not an object holding round, global and clients")
+    if not isinstance(obj["global"], dict) or not _GLOBAL_KEYS <= obj["global"].keys():
+        raise ValueError("global is not an object holding accuracy, spd and eod")
+    if not isinstance(obj["clients"], list):
+        raise ValueError("clients is not a list")
+    for i, client in enumerate(obj["clients"]):
+        if not isinstance(client, dict) or not _CLIENT_KEYS <= client.keys() <= _CLIENT_ALLOWED:
+            raise ValueError(
+                f"client {i} is not an object holding client_id, behavior, n and local_loss, "
+                "and no key but those and scores, composite, p and rs"
+            )
+    return obj
+
+
+def read_jsonl(path) -> list[dict]:
+    """Load a rounds.jsonl stream back as its round objects, in file order.
 
     Blank lines are skipped.  A line that is not UTF-8, not JSON or not a
-    report object is a ConfigError naming the file and the line's number.
+    round object (see `_round_object`) is a ConfigError naming the file and
+    the line's number.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    reports = []
+    rounds = []
     # bytes.splitlines breaks at \n, \r and \r\n, as a text file's lines do
     for number, raw in enumerate(data.splitlines(), 1):
         try:
             line = raw.decode("utf-8").strip()
             if line:
-                reports.append(RoundReport.from_json_obj(json.loads(line)))
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                rounds.append(_round_object(json.loads(line)))
+        except (ValueError, RecursionError) as exc:
             # ValueError covers UnicodeDecodeError and JSONDecodeError
             raise ConfigError(
                 f"{path}, line {number}: not a round report ({type(exc).__name__}: {exc})"
             ) from exc
-    return reports
+    return rounds

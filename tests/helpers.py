@@ -16,7 +16,7 @@ from fedval.errors import (
 )
 from fedval.metrics import _BLOCK, OBJECTIVE_KINDS, accuracy, eod, spd
 from fedval.model import _CLAMP, ModelParams, TrainConfig, classify, client_update, is_positive
-from fedval.reporting import ClientRoundRecord, RoundReport, RoundWriter, read_jsonl
+from fedval.reporting import RoundWriter, read_jsonl
 from fedval.seeding import derive_seed
 from fedval.server import AggregationWeights
 
@@ -218,13 +218,19 @@ def reference_eod(params, dataset):
 # ---------------------------------------------------------------------------
 
 
-def reference_round_report(round_index, global_metrics, clients, info):
-    """The RoundReport that `RoundWriter.write` of the same arguments must write.
+# a round object's keys, its `global` object's and each client's, in the order the writer writes them
+ROUND_KEYS = ("round", "global", "rs_spread", "clients")
+GLOBAL_KEYS = ("accuracy", "spd", "eod")
+CLIENT_KEYS = ("client_id", "behavior", "n", "local_loss", "scores", "composite", "p", "rs")
 
-    Client records follow ascending client id and take their p, loss,
-    scores, composite and rank mass from `info` by id.  With rank mass in
-    `info`, `rs_spread` is its max/min over `clients` (None while some
-    client has none).
+
+def reference_round(round_index, global_metrics, clients, info):
+    """The round object that `RoundWriter.write` of the same arguments must write.
+
+    Its rounds.jsonl line is `json.dumps` of this object.  Clients follow
+    ascending client id and take their p, loss, scores, composite and rank
+    mass from `info` by id.  With rank mass in `info`, `rs_spread` is its
+    max/min over `clients` (None while some client has none).
     """
     p = dict(zip(info.weights.client_ids, info.weights.p))
     scores, composite, rs = {}, {}, {}
@@ -233,30 +239,34 @@ def reference_round_report(round_index, global_metrics, clients, info):
         composite = dict(zip(info.scores.client_ids, info.scores.composite))
     if info.rank is not None:
         rs = info.rank.rs
-    records = tuple(
-        ClientRoundRecord(
-            client_id=c.client_id,
-            behavior=c.behavior,
-            n=c.n,
-            local_loss=info.losses[c.client_id],
-            scores=scores.get(c.client_id),
-            composite=composite.get(c.client_id),
-            p=p[c.client_id],
-            rs=rs.get(c.client_id),
-        )
+    records = [
+        {
+            "client_id": c.client_id,
+            "behavior": c.behavior,
+            "n": c.n,
+            "local_loss": info.losses[c.client_id],
+            "scores": scores.get(c.client_id),
+            "composite": composite.get(c.client_id),
+            "p": p[c.client_id],
+            "rs": rs.get(c.client_id),
+        }
         for c in sorted(clients, key=lambda c: c.client_id)
-    )
+    ]
     rs_spread = None
     if info.rank is not None:
-        masses = [rs.get(c.client_id, 0.0) for c in records]
+        masses = [rs.get(c["client_id"], 0.0) for c in records]
         if min(masses) > 0:
             rs_spread = max(masses) / min(masses)
-    global_accuracy, global_spd, global_eod = global_metrics
-    return RoundReport(round_index, global_accuracy, global_spd, global_eod, records, rs_spread)
+    return {
+        "round": round_index,
+        "global": dict(zip(GLOBAL_KEYS, global_metrics)),
+        "rs_spread": rs_spread,
+        "clients": records,
+    }
 
 
 def written_report(round_index, params, validation, clients, info):
-    """The report a run writes for one round, read back through `read_jsonl`.
+    """The round object a run writes for one round, read back through `read_jsonl`.
 
     The global metrics are `params`' accuracy, SPD and EOD on `validation`,
     as `run_experiment` hands them to the writer.
@@ -270,50 +280,24 @@ def written_report(round_index, params, validation, clients, info):
     return report
 
 
-def reference_json_obj(report):
-    """One report as the nested object its rounds.jsonl line is `json.dumps` of."""
-    return {
-        "round": report.round,
-        "global": {
-            "accuracy": report.global_accuracy,
-            "spd": report.global_spd,
-            "eod": report.global_eod,
-        },
-        "rs_spread": report.rs_spread,
-        "clients": [
-            {
-                "client_id": c.client_id,
-                "behavior": c.behavior,
-                "n": c.n,
-                "local_loss": c.local_loss,
-                "scores": c.scores,
-                "composite": c.composite,
-                "p": c.p,
-                "rs": c.rs,
-            }
-            for c in report.clients
-        ],
-    }
-
-
 def reference_csv_rows(report):
-    """Flatten one report into rounds.csv rows (clients first, then the global row).
+    """Flatten one round object into rounds.csv rows (clients first, then the global row).
 
     A missing value is an empty cell; any other value is its `str`, so a
     numpy float prints as the Python float it equals.
     """
-    round_cell = str(report.round)
+    round_cell = str(report["round"])
     rows = []
-    for c in report.clients:
-        scores = c.scores or {}
-        row = [round_cell, "client", str(c.client_id), c.behavior, str(c.n)]
-        for v in (*map(scores.get, OBJECTIVE_KINDS), c.composite, c.p, c.rs, c.local_loss):
+    for c in report["clients"]:
+        scores = c["scores"] or {}
+        row = [round_cell, "client", str(c["client_id"]), c["behavior"], str(c["n"])]
+        for v in (*map(scores.get, OBJECTIVE_KINDS), c["composite"], c["p"], c["rs"], c["local_loss"]):
             row.append("" if v is None else str(v))
         row += ("", "", "")  # the global-metric columns
         rows.append(row)
+    glob = report["global"]
     rs_spread, acc, spd, eod = (
-        "" if v is None else str(v)
-        for v in (report.rs_spread, report.global_accuracy, report.global_spd, report.global_eod)
+        "" if v is None else str(v) for v in (report["rs_spread"], glob["accuracy"], glob["spd"], glob["eod"])
     )
     blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
     rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])

@@ -439,8 +439,8 @@ def test_criterion_adversary_downweighting(capsys, trend_sweep):
         reports = read_jsonl(cell.run_dir / "rounds.jsonl")[-10:]
         skewed, coop = [], []
         for report in reports:
-            for client in report.clients:
-                (skewed if client.behavior == "uncooperative" else coop).append(client.p)
+            for client in report["clients"]:
+                (skewed if client["behavior"] == "uncooperative" else coop).append(client["p"])
         mean_skewed = float(np.mean(skewed))
         mean_coop = float(np.mean(coop))
         ok &= mean_skewed < 1.0 / 10.0 < mean_coop

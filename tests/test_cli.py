@@ -517,6 +517,29 @@ def test_eval_of_a_non_finite_cell_is_a_row_error(tmp_path, monkeypatch, cell):
     assert "Traceback" not in err
 
 
+def test_eval_of_a_csv_with_a_byte_order_mark_reads_as_without_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = _eval_csv(_CSV_ROWS)
+    assert want[0] == EXIT_OK
+    Path("data.csv").write_bytes(b"\xef\xbb\xbf" + Path("data.csv").read_bytes())
+    assert _run_quietly(["eval", "model.json", "data.csv", "schema.json"]) == want
+
+
+def test_eval_and_run_of_a_cell_over_the_csv_field_limit_exit_3(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = list(_CSV_ROWS)
+    rows[2] += "," + "x" * (csv.field_size_limit() + 1)  # row 2 gains an oversized fifth cell
+    code, out, err = _eval_csv(rows)
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert "error: data.csv: row 2: field larger than field limit" in err and "Traceback" not in err
+    config = _fuzz_base("fedval")
+    config["data"] = {"csv": {"path": "data.csv", "schema": _csv_schema()}}
+    Path("config.json").write_text(json.dumps(config))
+    code, out, err = _run_quietly(["run", "config.json"])
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert "error: data.csv: row 2: field larger than field limit" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [

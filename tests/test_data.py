@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -338,6 +339,35 @@ def test_load_csv_header_only(tmp_path, adult_schema):
     path = tmp_path / "h.csv"
     path.write_text("age,workclass,income,sex\n")
     with pytest.raises(EmptyDatasetError):
+        load_csv(path, adult_schema)
+
+
+def test_load_csv_drops_a_utf8_byte_order_mark(tmp_path, adult_schema):
+    # Excel's "CSV UTF-8" export starts the file with EF BB BF; without the
+    # drop the first header reads "\ufeffage" and the schema misses "age"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(ADULT_LIKE.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + ADULT_LIKE.encode("utf-8"))
+    want, got = load_csv(plain, adult_schema), load_csv(marked, adult_schema)
+    for name in ("features", "labels", "sensitive"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("where", ["header", "row 2"])
+def test_load_csv_cell_over_the_csv_field_limit_is_a_row_error(tmp_path, adult_schema, where):
+    # csv.reader raises csv.Error for a cell longer than its field size
+    # limit; load_csv names the header or the row instead
+    huge = "x" * (csv.field_size_limit() + 1)
+    lines = ADULT_LIKE.splitlines()
+    if where == "header":
+        lines[0] += huge
+    else:
+        lines[2] += huge
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"^{re.escape(str(path))}: {where}: field larger than field limit"
+    with pytest.raises(RowParseError, match=message):
         load_csv(path, adult_schema)
 
 

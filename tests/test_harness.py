@@ -33,6 +33,7 @@ from fedval.model import ModelParams, TrainConfig
 from fedval.reporting import CSV_COLUMNS, read_jsonl
 from fedval.server import RankingConfig
 from fedval.baselines import QConfig
+from helpers import CLIENT_KEYS, GLOBAL_KEYS, ROUND_KEYS
 
 ALL_THREE = ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0)))
 
@@ -199,7 +200,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert (out / "resolved_config.json").exists()
     assert (out / "final_model.json").exists()
     reports = read_jsonl(out / "rounds.jsonl")
-    assert [r.round for r in reports] == [1, 2, 3]
+    assert [r["round"] for r in reports] == [1, 2, 3]
 
     rows = _read_csv(out / "rounds.csv")
     assert rows[0] == list(CSV_COLUMNS)
@@ -216,10 +217,27 @@ def test_run_experiment_every_strategy(tmp_path, strategy):
     reports = read_jsonl(out / "rounds.jsonl")
     assert len(reports) == 2
     for r in reports:
-        ps = [c.p for c in r.clients]
+        ps = [c["p"] for c in r["clients"]]
         assert sum(ps) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0 for p in ps)
-        assert 0.0 <= r.global_accuracy <= 1.0
+        assert 0.0 <= r["global"]["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_read_jsonl_returns_each_round_as_the_writer_wrote_it(tmp_path, strategy):
+    # exactly the writer's keys in the writer's order, and nothing lost:
+    # json.dumps of the objects gives back the file
+    out = run_experiment(tiny_config(strategy=strategy, rounds=3), out_dir=tmp_path / strategy)
+    reports = read_jsonl(out / "rounds.jsonl")
+    assert [r["round"] for r in reports] == [1, 2, 3]
+    for r in reports:
+        assert tuple(r) == ROUND_KEYS
+        assert tuple(r["global"]) == GLOBAL_KEYS
+        assert [tuple(c) for c in r["clients"]] == [CLIENT_KEYS] * 3
+        for c in r["clients"]:
+            assert (c["scores"] is None) == (strategy != "fedval")
+            assert c["scores"] is None or tuple(c["scores"]) == ("accuracy", "spd", "eod")
+    assert "".join(json.dumps(r) + "\n" for r in reports) == (out / "rounds.jsonl").read_text()
 
 
 def test_run_experiment_replay_is_byte_identical(tmp_path):
@@ -324,10 +342,10 @@ def test_every_preset_runs_two_rounds(tmp_path, name):
 
     cfg = replace(preset(name), rounds=2)
     reports = read_jsonl(run_experiment(cfg, out_dir=tmp_path / name) / "rounds.jsonl")
-    assert [r.round for r in reports] == [1, 2]
+    assert [r["round"] for r in reports] == [1, 2]
     for report in reports:
-        assert len(report.clients) == len(cfg.clients)
-        assert abs(sum(c.p for c in report.clients) - 1.0) <= 1e-12
+        assert len(report["clients"]) == len(cfg.clients)
+        assert abs(sum(c["p"] for c in report["clients"]) - 1.0) <= 1e-12
 
 
 def test_unknown_preset_lists_known_names():
@@ -417,7 +435,9 @@ def test_run_sweep_grid_and_summary(tmp_path):
     result = run_sweep(spec, base, out_dir=tmp_path / "sweep")
     assert len(result.cells) == 2 * 2 * 2
     assert all(c.error is None for c in result.cells)
-    assert all(c.final is not None for c in result.cells)
+    for c in result.cells:  # each cell's final metrics are its last round's global object
+        assert c.final == read_jsonl(c.run_dir / "rounds.jsonl")[-1]["global"]
+        assert tuple(c.final) == ("accuracy", "spd", "eod")
 
     rows = _read_csv(result.summary_path)
     assert rows[0][:5] == [
@@ -558,7 +578,7 @@ def test_package_exports_exactly_its_public_api():
     assert fedval.__all__ == [
         "AggregationWeights", "ClientProfile", "ClientSpec", "DatasetSchema",
         "ExperimentConfig", "ModelParams", "ObjectiveSpec", "QConfig", "RankState",
-        "RankingConfig", "RoundReport", "ScoreVector", "SkewSpec", "SweepSpec", "SweepVariant",
+        "RankingConfig", "ScoreVector", "SkewSpec", "SweepSpec", "SweepVariant",
         "TabularDataset", "TrainConfig", "accuracy", "afl_round", "aggregate", "client_update",
         "composite_score", "eod", "fedavg_round", "fedval_round", "generate_synthetic",
         "gradient", "load_csv", "loss", "make_weights", "partition", "predict_proba", "preset",
