@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -312,43 +313,45 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
             raise SchemaError(f"{path}: column {name!r} appears more than once in header")
 
     rows, labels, sens = [], [], []
-    rownum = 0
-    try:
-        for rownum, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
-                raise RowParseError(
-                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
-                )
-            cells = [c.strip() for c in raw]
-            for name in needed:
-                if cells[col_index[name]] == "":
-                    raise RowParseError(f"{path}: row {rownum}: column {name!r} is empty")
-            feats: list[float] = []
-            for spec in schema.features:
-                cell = cells[col_index[spec.name]]
-                if spec.kind == "numeric":
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        value = math.nan  # not a number: reported below
-                    if not math.isfinite(value):  # nan, inf or 1e400 would reach the z-scores
-                        raise RowParseError(
-                            f"{path}: row {rownum}: column {spec.name!r}: "
-                            f"cannot parse {cell!r} as a finite number"
-                        )
-                    feats.append(value)
-                else:
-                    if cell not in spec.categories:
-                        raise RowParseError(
-                            f"{path}: row {rownum}: column {spec.name!r}: "
-                            f"value {cell!r} not in declared categories"
-                        )
-                    feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
-            labels.append(int(cells[col_index[schema.label]] == schema.label_positive))
-            sens.append(int(cells[col_index[schema.sensitive]] == schema.sensitive_advantaged))
-            rows.append(feats)
-    except csv.Error as exc:  # raised while reading the row after `rownum`
-        raise RowParseError(f"{path}: row {rownum + 1}: {exc}") from None
+    for rownum in itertools.count(1):
+        try:
+            raw = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # e.g. a cell over csv's field size limit
+            raise RowParseError(f"{path}: row {rownum}: {exc}") from None
+        if len(raw) != len(header):
+            raise RowParseError(
+                f"{path}: row {rownum}: expected {len(header)} cells, got {len(raw)}"
+            )
+        cells = [c.strip() for c in raw]
+        for name in needed:
+            if cells[col_index[name]] == "":
+                raise RowParseError(f"{path}: row {rownum}: column {name!r} is empty")
+        feats: list[float] = []
+        for spec in schema.features:
+            cell = cells[col_index[spec.name]]
+            if spec.kind == "numeric":
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan  # not a number: reported below
+                if not math.isfinite(value):  # nan, inf or 1e400 would reach the z-scores
+                    raise RowParseError(
+                        f"{path}: row {rownum}: column {spec.name!r}: "
+                        f"cannot parse {cell!r} as a finite number"
+                    )
+                feats.append(value)
+            else:
+                if cell not in spec.categories:
+                    raise RowParseError(
+                        f"{path}: row {rownum}: column {spec.name!r}: "
+                        f"value {cell!r} not in declared categories"
+                    )
+                feats.extend(1.0 if cell == cat else 0.0 for cat in spec.categories)
+        labels.append(int(cells[col_index[schema.label]] == schema.label_positive))
+        sens.append(int(cells[col_index[schema.sensitive]] == schema.sensitive_advantaged))
+        rows.append(feats)
 
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
