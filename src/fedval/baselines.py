@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
 from .model import ModelParams, TrainConfig, gradient, loss, train_clients
-from .server import AggregationWeights, RoundInfo, _by_id, _pow, aggregate
+from .server import AggregationWeights, RoundInfo, _by_id, _local_losses, _pow, aggregate
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
     """Local SGD everywhere, then average weighted by shard size."""
     ordered = _by_id(clients)
     models = train_clients(global_params, ordered, train_cfg)
-    losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
+    losses = _local_losses(ordered, models)
     total = sum(c.n for c in ordered)
     weights = AggregationWeights(
         tuple(c.client_id for c in ordered),

@@ -3,13 +3,14 @@
 Each JSON object of a config, sweep spec, dataset schema or model file is
 a `Section`: one table of its JSON keys and their kinds that both reads
 (`decode`) and writes (`encode`) it.  An absent key takes the default of
-the attribute it fills.  An unknown key, or a value of another kind than
-its key's, is a ConfigError that names the key by its path, such as
-`train.lr` or `clients[2].skew.ratio`.  INT takes a JSON integer (not a
-bool, not 2.0), FLOAT a finite number (not a bool, not NaN or Infinity),
-BOOL true or false and STR a string; null is taken where the attribute's
-default is None.  The files themselves are read by `read_json` and
-written by `write_json`.
+the attribute it fills.  An unknown key, a value of another kind than
+its key's, or a value the section's class turns down with a DataError
+(`clients[2].skew is invalid: ...`) is a ConfigError that names the key
+by its path, such as `train.lr` or `clients[2].skew.ratio`.  INT takes a
+JSON integer (not a bool, not 2.0), FLOAT a finite number (not a bool,
+not NaN or Infinity), BOOL true or false and STR a string; null is taken
+where the attribute's default is None.  The files themselves are read by
+`read_json` and written by `write_json`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from collections import namedtuple
 from dataclasses import MISSING, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 def read_json(path, what: str | None = None):
@@ -132,7 +133,12 @@ class Section:
                 found.update(kind.decode(value[key], what, at))
             else:
                 found[attr] = kind.decode(value[key], what, at)
-        return found if self.cls is None else self.cls(**found)
+        if self.cls is None:
+            return found
+        try:
+            return self.cls(**found)
+        except DataError as exc:  # a value out of the class's range, such as a skew ratio of 1.5
+            raise malformed(what, path, f"is invalid: {exc}") from None
 
     def encode(self, obj) -> dict:
         values = {key: obj if a is None else getattr(obj, a) for key, a in self.attrs.items()}

@@ -56,6 +56,14 @@ class SyntheticSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        # generate_synthetic's own range checks, made as the config is read
+        if self.n < 2:
+            raise ConfigError(f"synthetic data n must be >= 2, got {self.n}")
+        if self.dim < 1:
+            raise ConfigError(f"synthetic data dim must be >= 1, got {self.dim}")
+        for i, rate in enumerate(self.positive_rates):
+            if not (0.0 <= rate <= 1.0):
+                raise ConfigError(f"synthetic data positive_rates[{i}] must lie in [0, 1], got {rate}")
         # numpy seeds only from non-negative integers
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"synthetic data seed must be >= 0, got {self.seed}")

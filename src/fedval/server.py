@@ -118,6 +118,22 @@ def _by_id(clients) -> list[ClientProfile]:
     return sorted(clients, key=lambda c: c.client_id)
 
 
+def _local_losses(ordered, models) -> dict:
+    """Each client's loss on its shard at its own model, by id, under one errstate per round.
+
+    A huge model's logits overflow to +-inf, which `loss` clamps, so numpy
+    prints no warning; a nan logit raises NumericOverflowError naming the client.
+    """
+    losses = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, m in zip(ordered, models):
+            try:
+                losses[c.client_id] = loss(m, c.data)
+            except NumericOverflowError as exc:
+                raise NumericOverflowError(f"client {c.client_id}: {exc}") from None
+    return losses
+
+
 def _check_blend(global_params: ModelParams, client_params, alpha: float) -> None:
     """Check alpha, then that every model of `client_params` has the global model's dimension."""
     if not (0.0 <= alpha <= 1.0):
@@ -270,5 +286,5 @@ def fedval_round(
     weights = make_weights(scores, rank)
 
     new_global = aggregate(models, weights)
-    losses = {c.client_id: loss(m, c.data) for c, m in zip(ordered, models)}
+    losses = _local_losses(ordered, models)
     return new_global, state if rank is None else rank, RoundInfo(weights, losses, {}, scores, rank)

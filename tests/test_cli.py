@@ -751,6 +751,92 @@ def test_failed_rerun_leaves_no_final_model_of_the_run_before(tmp_path, capsys):
     assert (run / "rounds.jsonl").read_bytes() == b""
 
 
+def _huge_step_config(tmp_path, strategy, lr):
+    """Two clients whose one-row SGD steps at `lr` end in models with huge logits on their own shards."""
+    raw = {
+        "strategy": strategy,
+        "rounds": 1,
+        "seed": 0,
+        "out_dir": str(tmp_path / "run"),
+        "data": {"synthetic": {"n": 400, "dim": 8, "positive_rates": [0.6, 0.3]}},
+        "clients": ["cooperative", "cooperative"],
+        "objectives": [{"kind": "accuracy", "weight": 1.0}],
+        "train": {"epochs": 1, "batch_size": 1, "lr": lr},
+    }
+    return str(write_json(tmp_path / "config.json", raw))
+
+
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg"])
+def test_run_to_huge_local_models_warns_nothing(tmp_path, capsys, strategy):
+    # the clients' losses at their local models see logits past the float
+    # range; numpy's overflow warnings (errors under this suite's settings)
+    # must not reach the user
+    assert main(["run", _huge_step_config(tmp_path, strategy, 5e306)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg"])
+def test_run_to_a_nan_local_logit_is_one_error_line_naming_the_client(tmp_path, capsys, strategy):
+    assert main(["run", _huge_step_config(tmp_path, strategy, 1e307)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "error: client 1: model logits overflowed to nan: the weights are too large for these features\n"
+    )
+
+
+# each value the config reader turns down, by its path in _fuzz_base, and the message naming it
+_OUT_OF_RANGE = [
+    (("data", "synthetic", "n"), 1, "synthetic data n must be >= 2, got 1"),
+    (("data", "synthetic", "dim"), 0, "synthetic data dim must be >= 1, got 0"),
+    (("data", "synthetic", "positive_rates"), [0.6, 1.5],
+     "synthetic data positive_rates[1] must lie in [0, 1], got 1.5"),
+    (("clients", 1, "skew", "ratio"), 1.5,
+     "malformed config: clients[1].skew is invalid: skew ratio must lie in (0, 1], got 1.5"),
+    (("clients", 2), "sleepy", "malformed config: clients[2] is invalid: unknown behavior 'sleepy'"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", _OUT_OF_RANGE)
+def test_run_with_an_out_of_range_value_exits_2_and_keeps_the_run_before(tmp_path, capsys, path, value, message):
+    # checked as the config is read: the previous run's four files keep their bytes
+    raw = _fuzz_base("fedval")
+    raw["out_dir"] = str(tmp_path / "run")
+    assert main(["run", str(write_json(tmp_path / "ok.json", raw))]) == EXIT_OK
+    run = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert len(before) == 4
+    capsys.readouterr()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert main(["run", str(write_json(tmp_path / "bad.json", raw))]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_gen_data_with_an_out_of_range_n_is_a_config_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", {"n": 1, "dim": 2, "positive_rates": [0.5, 0.5]})
+    assert main(["gen-data", str(spec), str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: synthetic data n must be >= 2, got 1\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_whose_base_has_an_out_of_range_value_is_a_config_error(tmp_path, capsys):
+    base = _fuzz_base("fedval")
+    base["out_dir"] = str(tmp_path / "sweep")
+    base["data"]["synthetic"]["n"] = 1
+    spec = write_json(tmp_path / "sweep.json", {
+        "base": base,
+        "cooperative_counts": [0, 3],
+        "variants": [{"name": "rank", "ranking_enabled": True}],
+        "replicate_seeds": [1],
+    })
+    # every cell would fail the same way; the spec is refused before any is run
+    assert main(["sweep", str(spec)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: synthetic data n must be >= 2, got 1\n"
+    assert not (tmp_path / "sweep").exists()
+
+
 def _overflow_config(tmp_path, **change):
     """The 3-client config of the overflow tests below, with `change` applied."""
     raw = {

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 from collections import Counter
 
@@ -15,7 +16,7 @@ import fedval.reporting
 import fedval.server
 
 from fedval.data import ClientSpec, SkewSpec
-from fedval.errors import ConfigError, UnknownPresetError
+from fedval.errors import ConfigError, DataError, NumericOverflowError, UnknownPresetError
 from fedval.harness import (
     STRATEGIES,
     CsvSpec,
@@ -176,6 +177,42 @@ def test_from_dict_wraps_malformed_input():
         ExperimentConfig.from_dict([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(n=1), "synthetic data n must be >= 2, got 1"),
+        (dict(dim=0), "synthetic data dim must be >= 1, got 0"),
+        (dict(positive_rates=(1.5, 0.3)), r"synthetic data positive_rates\[0\] must lie in \[0, 1\], got 1.5"),
+        (dict(positive_rates=(0.6, -0.1)), r"synthetic data positive_rates\[1\] must lie in \[0, 1\], got -0.1"),
+    ],
+)
+def test_synthetic_spec_out_of_range_is_a_config_error(fields, message):
+    # generate_synthetic's own checks, made when the config is built, before a run touches its directory
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SyntheticSpec(**{"n": 120, "dim": 3, "positive_rates": (0.6, 0.4), **fields})
+
+
+@pytest.mark.parametrize(
+    "client, message",
+    [
+        ({"behavior": "uncooperative", "skew": {"ratio": 1.5}}, "clients[1].skew is invalid: skew ratio"),
+        ({"behavior": "uncooperative", "skew": {"ratio": 0.5, "group": "x"}}, "clients[1].skew is invalid: skew group"),
+        ("sleepy", "clients[1] is invalid: unknown behavior 'sleepy'"),
+    ],
+)
+def test_from_dict_reports_an_out_of_range_client_as_a_config_error_naming_it(client, message):
+    raw = tiny_config().to_dict()
+    raw["clients"] = ["cooperative", client]
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value).startswith(f"malformed config: {message}")
+    # built in Python, the same values stay data errors
+    with pytest.raises(DataError):
+        SkewSpec(ratio=1.5)
+    with pytest.raises(DataError):
+        ClientSpec("sleepy")
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         ExperimentConfig.load(tmp_path / "missing.json")
@@ -280,6 +317,39 @@ def test_run_experiment_fixed_data_seed_survives_master_reseed(tmp_path):
 
 class _AtWriter(Exception):
     """Stops a run where the RoundWriter would be built: set-up is over."""
+
+
+def _huge_step_config(strategy, lr, batch_size):
+    """Two clients whose local SGD at `lr` ends in models with huge logits on their own shards."""
+    return ExperimentConfig(
+        strategy=strategy,
+        rounds=1,
+        seed=0,
+        data=SyntheticSpec(n=400, dim=8, positive_rates=(0.6, 0.3)),
+        clients=(ClientSpec(), ClientSpec()),
+        train=TrainConfig(epochs=1, batch_size=batch_size, lr=lr),
+        objectives=ObjectiveSpec((("accuracy", 1.0),)),
+    )
+
+
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg"])
+@pytest.mark.parametrize("lr, batch_size", [(5e306, 1), (1e307, 2)])
+def test_local_losses_of_huge_models_warn_nothing(tmp_path, strategy, lr, batch_size):
+    # each client's loss at its local model sees logits past the float range,
+    # which the loss clamps; numpy must not warn about the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_experiment(_huge_step_config(strategy, lr, batch_size), out_dir=tmp_path / "run")
+    [report] = read_jsonl(out / "rounds.jsonl")
+    assert all(math.isfinite(c["local_loss"]) for c in report["clients"])
+
+
+@pytest.mark.parametrize("strategy", ["fedval", "fedavg"])
+def test_a_nan_local_logit_raises_naming_the_client_without_warnings(tmp_path, strategy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="^client 1: model logits overflowed to nan"):
+            run_experiment(_huge_step_config(strategy, 1e307, 1), out_dir=tmp_path / "run")
 
 
 def test_set_up_holds_at_most_two_and_a_half_copies_of_the_rows(tmp_path, monkeypatch):
