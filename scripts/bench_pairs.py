@@ -26,7 +26,8 @@ Which direction is better, and each bound, are read from BENCHMARK.json
 beside this script.  Each run's output digests come from perfbench's
 summary line of the workload; the script also prints on how many pairs
 the parent and the change wrote equal outputs.  That count is reported,
-not a failure: a change may mean to alter its outputs.
+not a failure: a change may mean to alter its outputs.  Each workload's
+header names the commit of each side, from perfbench's environment line.
 
 Nothing is written but what perfbench itself writes: its work directory
 under each checkout, which it removes.  Exits 1 if any run is not correct
@@ -45,18 +46,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def summary_digests(stdout: str, workload: str) -> list | None:
-    """The output digests in perfbench's summary line of `workload`, or None if no line has them."""
+def _json_lines(stdout: str):
+    """Each line of perfbench's stdout that is a JSON object, parsed."""
     for line in stdout.splitlines():
         if not line.startswith("{"):
             continue
         try:
-            summary = json.loads(line)
+            yield json.loads(line)
         except json.JSONDecodeError:
             continue
+
+
+def summary_digests(stdout: str, workload: str) -> list | None:
+    """The output digests in perfbench's summary line of `workload`, or None if no line has them."""
+    for summary in _json_lines(stdout):
         if summary.get("workload") == workload and "digests" in summary:
             return summary["digests"]
     return None
+
+
+def environment_commit(stdout: str) -> str | None:
+    """The commit in perfbench's environment line, or None if no line names one."""
+    for line in _json_lines(stdout):
+        environment = line.get("environment")
+        if isinstance(environment, dict) and "commit" in environment:
+            return environment["commit"]
+    return None
+
+
+def side_commit(runs: list[dict | None]) -> str:
+    """The commit named by the first of one side's runs that names one, or "unknown"."""
+    return next((run["commit"] for run in runs if run and run["commit"] is not None), "unknown")
 
 
 def equal_outputs(runs: list[tuple[dict | None, dict | None]]) -> tuple[int, int]:
@@ -87,7 +107,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
         print(f"  {checkout}: seed {seed} is not correct (exit {proc.returncode})\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
         return None
-    return {"metrics": last["metrics"], "digests": summary_digests(proc.stdout, workload)}
+    return {"metrics": last["metrics"], "digests": summary_digests(proc.stdout, workload),
+            "commit": environment_commit(proc.stdout)}
 
 
 def spread(values: list[float]) -> tuple[float, float, float]:
@@ -125,6 +146,7 @@ def compare(sides: dict, workload: str, seeds: range, seconds: float, metrics: l
             print(f"{workload} pair {seed}: {side} {'done' if run else 'FAILED'}", file=sys.stderr)
 
     print(f"{workload}: {len(seeds)} pairs of {seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}")
+    print(f"commits: parent {side_commit(results['parent'])}, change {side_commit(results['change'])}")
     equal, compared = equal_outputs(list(zip(results["parent"], results["change"])))
     print(f"outputs: parent and change wrote equal outputs in {equal}/{compared} pairs")
     print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "

@@ -15,7 +15,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +49,7 @@ _SPLIT_RETRIES = 32
 _NOISE_BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity, as for the arrays it holds
 class TabularDataset:
     """Immutable feature matrix with binary labels and group membership."""
 
@@ -268,17 +268,17 @@ class ClientSpec:
             raise DataError(f"unknown behavior {self.behavior!r}; expected one of {BEHAVIORS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity, as for its shard
 class ClientProfile:
     """A client's local shard plus its declared behavior."""
 
     client_id: int
     behavior: str
     data: TabularDataset
-    n: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.data.n)
+    @property
+    def n(self) -> int:
+        return self.data.n
 
 
 def load_csv(path, schema: DatasetSchema) -> TabularDataset:

@@ -193,11 +193,18 @@ _CONFIG = Section(ExperimentConfig, {
 })
 
 
-def _build_dataset(cfg: ExperimentConfig):
+def _set_up(cfg: ExperimentConfig):
+    """`(clients, validation)` of `cfg`: the client shards and the validation split; writes no file."""
     if isinstance(cfg.data, SyntheticSpec):
         seed = cfg.data.seed if cfg.data.seed is not None else derive_seed(cfg.seed, "data")
-        return generate_synthetic(cfg.data.n, cfg.data.dim, cfg.data.positive_rates, seed)
-    return load_csv(cfg.data.path, cfg.data.schema)
+        dataset = generate_synthetic(cfg.data.n, cfg.data.dim, cfg.data.positive_rates, seed)
+    else:
+        dataset = load_csv(cfg.data.path, cfg.data.schema)
+    train_data, validation = split_validation(
+        dataset, cfg.validation_fraction, derive_seed(cfg.seed, "split")
+    )
+    del dataset  # partition runs beside the two splits alone; the training split goes on return
+    return partition(train_data, cfg.clients, derive_seed(cfg.seed, "partition")), validation
 
 
 def _make_dir(path) -> Path:
@@ -212,24 +219,15 @@ def _make_dir(path) -> Path:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Execute one experiment; returns the artifact directory.
 
-    Outputs are streamed per round, so an aborted run keeps everything up
-    to the last completed round.  Re-running the written
-    resolved_config.json reproduces the reports byte for byte.
+    Set-up runs first, so an error before round 1 leaves the directory as it
+    was.  Outputs are streamed per round, so an aborted run keeps every round
+    it completed; re-running resolved_config.json reproduces them byte for byte.
     """
+    clients, validation = _set_up(cfg)
     out = _make_dir(out_dir if out_dir is not None else cfg.out_dir)
     for stale in ("rounds.jsonl", "rounds.csv", "final_model.json"):
         (out / stale).unlink(missing_ok=True)
     write_json(out / "resolved_config.json", cfg.to_dict())
-
-    # each set-up copy of the rows goes as soon as its last reader returns,
-    # so partition runs beside the training and validation splits only
-    dataset = _build_dataset(cfg)
-    train_data, validation = split_validation(
-        dataset, cfg.validation_fraction, derive_seed(cfg.seed, "split")
-    )
-    del dataset
-    clients = partition(train_data, cfg.clients, derive_seed(cfg.seed, "partition"))
-    del train_data  # the shards and the validation split hold every row the rounds use
 
     params = ModelParams.zeros(validation.dim)
     ids = [c.client_id for c in clients]

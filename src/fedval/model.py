@@ -31,7 +31,7 @@ _SIGN_DECIDES = 1e-12
 _NAN_LOGITS = "model logits overflowed to nan: the weights are too large for these features"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity, as for the weights array
 class ModelParams:
     """Weights and bias of a logistic model."""
 

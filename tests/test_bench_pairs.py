@@ -6,7 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
-from bench_pairs import equal_outputs, summary_digests, verdict  # noqa: E402
+from bench_pairs import environment_commit, equal_outputs, side_commit, summary_digests, verdict  # noqa: E402
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
@@ -34,13 +34,14 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert verdict([(20.0, 10.0), (30.0, 19.0), (21.0, 18.0), (40.0, 19.5)], "lower", 0.25) != "unresolved"
 
 
-def _stdout(workload, digests):
+def _stdout(workload, digests, commit=None):
     """What perfbench/run.py prints for one workload: environment, summary, table and last line."""
     summary = {"workload": workload, "seed": 0, "traced": False, "repetitions": 3, "final": [{}]}
     if digests is not None:
         summary["digests"] = digests
+    environment = {"python": "3"} if commit is None else {"python": "3", "commit": commit}
     return "\n".join([
-        json.dumps({"environment": {"python": "3"}}),
+        json.dumps({"environment": environment}),
         json.dumps(summary),
         f"== {workload}  seed 0  3 repetitions  fail_ratio 0.0000 (0/3 experiments)",
         "   wall_s      0.15 s  n=3  q1 0.14  q3 0.16",
@@ -68,3 +69,16 @@ def test_equal_outputs_counts_pairs_where_both_runs_have_digests():
     ]
     assert equal_outputs(runs) == (2, 3)
     assert equal_outputs([]) == (0, 0)
+
+
+def test_each_sides_commit_is_read_from_the_environment_line():
+    assert environment_commit(_stdout("afl-k10", ["ab"], commit="b38c57e")) == "b38c57e"
+    assert environment_commit(_stdout("afl-k10", ["ab"])) is None
+    assert environment_commit("{not json\n" + _stdout("afl-k10", ["ab"], commit="b38c57e")) == "b38c57e"
+
+    def run(commit):
+        return {"metrics": {}, "digests": None, "commit": commit}
+
+    # a failed run and one whose output names no commit come first
+    assert side_commit([None, run(None), run("b38c57e")]) == "b38c57e"
+    assert side_commit([None, run(None)]) == "unknown"

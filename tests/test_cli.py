@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import fedval
 from fedval.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from fedval.data import DatasetSchema, load_csv
-from fedval.harness import STRATEGIES, preset_names
+from fedval.errors import FedValError
+from fedval.harness import STRATEGIES, ExperimentConfig, preset, preset_names, run_experiment
 from fedval.model import ModelParams
 
 
@@ -812,6 +813,84 @@ def test_run_with_an_out_of_range_value_exits_2_and_keeps_the_run_before(tmp_pat
     assert main(["run", str(write_json(tmp_path / "bad.json", raw))]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+# configs that the config reader accepts and whose set-up fails, by how they
+# change _fuzz_base, with the exit code and the error `fedval run` prints
+_SET_UP_FAILURES = [
+    ("missing column", EXIT_CONFIG, "d.csv: column 'missing_col' not found in header"),
+    ("too many clients", EXIT_RUNTIME, "cannot split 3200 rows across 5000 clients"),
+    ("infeasible skew", EXIT_RUNTIME, "requested ratio 1.0 infeasible by subsampling group 'd' positives; "),
+    ("empty split", EXIT_RUNTIME, "fraction 0.1 leaves an empty side for 3 rows"),
+]
+
+
+def _fails_in_set_up(raw, case):
+    """`raw` changed so that its set-up fails as `case` of _SET_UP_FAILURES; writes d.csv for a csv case."""
+    if case == "missing column":
+        Path("d.csv").write_text("\n".join(_CSV_ROWS) + "\n")
+        schema = _csv_schema()
+        schema["features"][0]["name"] = "missing_col"
+        raw["data"] = {"csv": {"path": "d.csv", "schema": schema}}
+    elif case == "too many clients":  # adult-fedavg's 4000 rows leave 3200 to train on
+        raw.update(preset("adult-fedavg").to_dict(), out_dir=raw["out_dir"], clients=["cooperative"] * 5000)
+    elif case == "infeasible skew":  # group d's rate is about half of group a's: no subsample evens them
+        raw["data"]["synthetic"]["positive_rates"] = [0.6, 0.3]
+        raw["clients"][1]["skew"]["ratio"] = 1.0
+    else:
+        raw.update(data={"synthetic": {"n": 3, "dim": 3, "positive_rates": [0.6, 0.4]}},
+                   clients=["cooperative"], validation_fraction=0.1)
+    return raw
+
+
+def _finished_run(tmp_path, capsys):
+    """The _fuzz_base config, run into tmp_path/run, and the bytes of the run's four files."""
+    raw = _fuzz_base("fedval")
+    raw["out_dir"] = str(tmp_path / "run")
+    assert main(["run", str(write_json(tmp_path / "ok.json", raw))]) == EXIT_OK
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert len(before) == 4
+    return raw, before
+
+
+@pytest.mark.parametrize("case, code, message", _SET_UP_FAILURES, ids=[c for c, _, _ in _SET_UP_FAILURES])
+def test_run_that_fails_in_set_up_keeps_the_run_before(tmp_path, monkeypatch, capsys, case, code, message):
+    monkeypatch.chdir(tmp_path)
+    raw, before = _finished_run(tmp_path, capsys)
+    assert main(["run", str(write_json(tmp_path / "bad.json", _fails_in_set_up(raw, case)))]) == code
+    prefix = "config error: " if code == EXIT_CONFIG else "error: "
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + message) and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+@pytest.mark.parametrize("case, code, message", _SET_UP_FAILURES, ids=[c for c, _, _ in _SET_UP_FAILURES])
+def test_run_experiment_that_fails_in_set_up_keeps_the_run_before(
+    tmp_path, monkeypatch, capsys, case, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    raw, before = _finished_run(tmp_path, capsys)
+    cfg = ExperimentConfig.from_dict(_fails_in_set_up(raw, case))
+    with pytest.raises(FedValError, match="^" + re.escape(message)):
+        run_experiment(cfg)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+def test_sweep_cell_that_fails_in_set_up_makes_no_directory(tmp_path, capsys):
+    # the base's skew is infeasible: the cells with uncooperative clients fail
+    # in set-up, and the all-cooperative cell, which skews no shard, finishes
+    raw = _fuzz_sweep()
+    raw["base"]["out_dir"] = str(tmp_path / "sweep")
+    raw["base"]["data"]["synthetic"]["positive_rates"] = [0.6, 0.3]
+    raw["base"]["clients"][1]["skew"]["ratio"] = 1.0
+    raw["cooperative_counts"] = [0, 2, 3]
+    assert main(["sweep", str(write_json(tmp_path / "sweep.json", raw))]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == ["coop003_rank_seed5", "summary.csv"]
+    with open(tmp_path / "sweep" / "summary.csv", newline="", encoding="utf-8") as fh:
+        ok = {row["cooperative_count"]: row["replicates_ok"] for row in csv.DictReader(fh)}
+    assert ok == {"0": "0", "2": "0", "3": "1"}
 
 
 def test_gen_data_with_an_out_of_range_n_is_a_config_error(tmp_path, capsys):

@@ -91,6 +91,21 @@ def test_params_roundtrip_dict_and_file(tmp_path):
     assert np.array_equal(p.weights, r.weights) and p.bias == r.bias
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ModelParams(np.ones(3), 0.0),
+    lambda: TabularDataset(np.ones((2, 3)), [0, 1], [1, 0]),
+    lambda: ClientProfile(0, "cooperative", TabularDataset(np.ones((2, 3)), [0, 1], [1, 0])),
+], ids=["ModelParams", "TabularDataset", "ClientProfile"])
+def test_holders_of_arrays_compare_and_hash_by_identity(make):
+    # the generated __eq__ and __hash__ compared and hashed the arrays: == of
+    # two equal-valued objects raised "truth value ... is ambiguous", and hash()
+    # "unhashable type"
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    keys = {a: "a", b: "b"}
+    assert len(keys) == 2 and keys[a] == "a" and keys[b] == "b"
+
+
 @pytest.mark.parametrize(
     "raw", [{"weights": [1.0]}, {"weights": [1.0], "bias": 10**400}, {"weights": "ab", "bias": 0.0}, [1.0]]
 )
