@@ -4,7 +4,7 @@ Each JSON object of a config, sweep spec, dataset schema or model file is
 a `Section`: one table of its JSON keys and their kinds that both reads
 (`decode`) and writes (`encode`) it.  An absent key takes the default of
 the attribute it fills.  An unknown key, a value of another kind than
-its key's, or a value the section's class turns down with a DataError
+its key's, or a value a nested section's class turns down
 (`clients[2].skew is invalid: ...`) is a ConfigError that names the key
 by its path, such as `train.lr` or `clients[2].skew.ratio`.  INT takes a
 JSON integer (not a bool, not 2.0), FLOAT a finite number (not a bool,
@@ -137,8 +137,10 @@ class Section:
             return found
         try:
             return self.cls(**found)
-        except DataError as exc:  # a value out of the class's range, such as a skew ratio of 1.5
-            raise malformed(what, path, f"is invalid: {exc}") from None
+        except (ConfigError, DataError) as exc:  # a value out of the class's range, such as a skew ratio 1.5
+            if path or isinstance(exc, DataError):  # a top-level object's own ConfigError names its key
+                raise malformed(what, path, f"is invalid: {exc}") from None
+            raise
 
     def encode(self, obj) -> dict:
         values = {key: obj if a is None else getattr(obj, a) for key, a in self.attrs.items()}

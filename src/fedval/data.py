@@ -383,6 +383,19 @@ def load_csv(path, schema: DatasetSchema) -> TabularDataset:
     return TabularDataset._adopt(features, labels, sens)
 
 
+def _check_synthetic(n, dim, positive_rates, seed, error) -> None:
+    """Raise `error` at the first of `generate_synthetic`'s arguments out of its range."""
+    if n < 2:
+        raise error(f"synthetic data n must be >= 2, got {n}")
+    if dim < 1:
+        raise error(f"synthetic data dim must be >= 1, got {dim}")
+    for i, rate in enumerate(positive_rates):
+        if not (0.0 <= rate <= 1.0):
+            raise error(f"synthetic data positive_rates[{i}] must lie in [0, 1], got {rate}")
+    if seed is not None and seed < 0:  # numpy seeds only from non-negative integers
+        raise error(f"synthetic data seed must be >= 0, got {seed}")
+
+
 def generate_synthetic(n: int, dim: int, group_positive_rates, seed: int) -> TabularDataset:
     """Sample a learnable binary-classification dataset with two groups.
 
@@ -392,14 +405,8 @@ def generate_synthetic(n: int, dim: int, group_positive_rates, seed: int) -> Tab
     one by the group, so a linear model can recover the label while group
     membership stays visible in the features.
     """
-    if n < 2:
-        raise DataError(f"synthetic dataset needs n >= 2, got {n}")
-    if dim < 1:
-        raise DataError(f"synthetic dataset needs dim >= 1, got {dim}")
     rate_a, rate_d = float(group_positive_rates[0]), float(group_positive_rates[1])
-    for rate in (rate_a, rate_d):
-        if not (0.0 <= rate <= 1.0):
-            raise DataError(f"positive rate {rate} outside [0, 1]")
+    _check_synthetic(n, dim, (rate_a, rate_d), seed, DataError)
 
     rng = np.random.default_rng(seed)
     n_a = (n + 1) // 2

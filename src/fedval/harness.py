@@ -31,6 +31,7 @@ from .data import (
     ClientSpec,
     DatasetSchema,
     SkewSpec,
+    _check_synthetic,
     generate_synthetic,
     load_csv,
     partition,
@@ -55,18 +56,8 @@ class SyntheticSpec:
     positive_rates: tuple[float, float]
     seed: int | None = None
 
-    def __post_init__(self):
-        # generate_synthetic's own range checks, made as the config is read
-        if self.n < 2:
-            raise ConfigError(f"synthetic data n must be >= 2, got {self.n}")
-        if self.dim < 1:
-            raise ConfigError(f"synthetic data dim must be >= 1, got {self.dim}")
-        for i, rate in enumerate(self.positive_rates):
-            if not (0.0 <= rate <= 1.0):
-                raise ConfigError(f"synthetic data positive_rates[{i}] must lie in [0, 1], got {rate}")
-        # numpy seeds only from non-negative integers
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"synthetic data seed must be >= 0, got {self.seed}")
+    def __post_init__(self):  # generate_synthetic's own range checks, made as the config is read
+        _check_synthetic(self.n, self.dim, self.positive_rates, self.seed, ConfigError)
 
     @staticmethod
     def from_dict(raw) -> "SyntheticSpec":
@@ -161,7 +152,10 @@ _OBJECTIVE = Section(None, {"kind": STR, "weight": FLOAT}, required=("kind", "we
 
 def _decode_objectives(value, what, path) -> ObjectiveSpec:
     entries = list_of(_OBJECTIVE).decode(value, what, path)
-    return ObjectiveSpec(tuple((entry["kind"], entry["weight"]) for entry in entries))
+    try:
+        return ObjectiveSpec(tuple((entry["kind"], entry["weight"]) for entry in entries))
+    except ConfigError as exc:  # as codec.Section names a nested section it turns down
+        raise malformed(what, path, f"is invalid: {exc}") from None
 
 
 _SKEW = Section(SkewSpec, {"ratio": FLOAT, "retain": FLOAT, "group": STR})
@@ -219,15 +213,17 @@ def _make_dir(path) -> Path:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Execute one experiment; returns the artifact directory.
 
-    Set-up runs first, so an error before round 1 leaves the directory as it
-    was.  Outputs are streamed per round, so an aborted run keeps every round
-    it completed; re-running resolved_config.json reproduces them byte for byte.
+    Read-back and set-up run first: an error before round 1 leaves the
+    directory as it was.  Outputs are streamed per round, so an aborted run
+    keeps every round it completed; re-running resolved_config.json reproduces them byte for byte.
     """
+    raw = cfg.to_dict()
+    cfg = ExperimentConfig.from_dict(raw)  # the run is its config as resolved_config.json reads back
     clients, validation = _set_up(cfg)
     out = _make_dir(out_dir if out_dir is not None else cfg.out_dir)
     for stale in ("rounds.jsonl", "rounds.csv", "final_model.json"):
         (out / stale).unlink(missing_ok=True)
-    write_json(out / "resolved_config.json", cfg.to_dict())
+    write_json(out / "resolved_config.json", raw)
 
     params = ModelParams.zeros(validation.dim)
     ids = [c.client_id for c in clients]
@@ -345,13 +341,9 @@ class SweepSpec:
     replicate_seeds: tuple[int, ...]
 
     def __post_init__(self):
-        for attr in ("cooperative_counts", "variants", "replicate_seeds"):
-            object.__setattr__(self, attr, tuple(getattr(self, attr)))
-        # codec.INT's rule, by which the JSON form is read: an int, not a bool, float or string
-        for attr in ("cooperative_counts", "replicate_seeds"):
-            for v in getattr(self, attr):
-                if type(v) is not int:
-                    raise ConfigError(f"sweep {attr} must be integers, got {v!r}")
+        object.__setattr__(self, "variants", tuple(self.variants))
+        for attr in ("cooperative_counts", "replicate_seeds"):  # by codec.INT, as the JSON form is read
+            object.__setattr__(self, attr, list_of(INT).decode(list(getattr(self, attr)), "sweep spec", attr))
         if not self.cooperative_counts:
             raise ConfigError("sweep needs at least one cooperative count")
         if not self.variants:
@@ -422,6 +414,8 @@ def run_sweep(spec: SweepSpec, base: ExperimentConfig, out_dir=None) -> SweepRes
     clients take the low ids; the remaining clients reuse the base config's
     uncooperative skew (or a 0.2-ratio default when the base has none).
     """
+    # the grid and the base as their JSON forms read back, before any directory is made
+    spec, base = SweepSpec.from_dict(_SWEEP.encode(spec)), ExperimentConfig.from_dict(base.to_dict())
     k = len(base.clients)
     for count in spec.cooperative_counts:
         if not (0 <= count <= k):

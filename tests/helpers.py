@@ -1,6 +1,9 @@
 """Shared construction helpers for the test suite."""
 
+import csv
 import hashlib
+import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -16,7 +19,7 @@ from fedval.errors import (
 )
 from fedval.metrics import _BLOCK, OBJECTIVE_KINDS, accuracy, eod, spd
 from fedval.model import _CLAMP, ModelParams, TrainConfig, classify, client_update, is_positive
-from fedval.reporting import RoundWriter, read_jsonl
+from fedval.reporting import CSV_COLUMNS, RoundWriter, read_jsonl
 from fedval.seeding import derive_seed
 from fedval.server import AggregationWeights
 
@@ -302,6 +305,18 @@ def reference_csv_rows(report):
     blanks = ("",) * (3 + len(OBJECTIVE_KINDS) + 2)  # client fields, scores, composite, p
     rows.append([round_cell, "global", *blanks, rs_spread, "", acc, spd, eod])
     return rows
+
+
+def library_bytes(reports):
+    """The rounds.jsonl and rounds.csv bytes of round objects: `json.dumps` and `csv.writer` over each."""
+    want_csv = io.StringIO(newline="")
+    rows = csv.writer(want_csv)
+    rows.writerow(CSV_COLUMNS)
+    for report in reports:
+        rows.writerows(reference_csv_rows(report))
+    want_jsonl = "".join(json.dumps(report) + "\n" for report in reports)
+    return want_jsonl.encode("utf-8"), want_csv.getvalue().encode("utf-8")
+
 
 
 # ---------------------------------------------------------------------------

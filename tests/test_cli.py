@@ -544,8 +544,10 @@ def test_eval_and_run_of_a_cell_over_the_csv_field_limit_exit_3(tmp_path, monkey
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("features", 0, "categories"), ["young"], "column 'age': numeric columns take no categories"),
-        (("features", 1, "categories"), ["ax", "ax"], "column 'work': duplicate categories"),
+        (("features", 0, "categories"), ["young"],
+         "malformed schema: features[0] is invalid: column 'age': numeric columns take no categories"),
+        (("features", 1, "categories"), ["ax", "ax"],
+         "malformed schema: features[1] is invalid: column 'work': duplicate categories"),
         (("features",), [], "schema declares no feature columns"),
         (("features", 1, "name"), "age", "duplicate feature column names"),
     ],
@@ -786,10 +788,12 @@ def test_run_to_a_nan_local_logit_is_one_error_line_naming_the_client(tmp_path, 
 
 # each value the config reader turns down, by its path in _fuzz_base, and the message naming it
 _OUT_OF_RANGE = [
-    (("data", "synthetic", "n"), 1, "synthetic data n must be >= 2, got 1"),
-    (("data", "synthetic", "dim"), 0, "synthetic data dim must be >= 1, got 0"),
+    (("data", "synthetic", "n"), 1,
+     "malformed config: data.synthetic is invalid: synthetic data n must be >= 2, got 1"),
+    (("data", "synthetic", "dim"), 0,
+     "malformed config: data.synthetic is invalid: synthetic data dim must be >= 1, got 0"),
     (("data", "synthetic", "positive_rates"), [0.6, 1.5],
-     "synthetic data positive_rates[1] must lie in [0, 1], got 1.5"),
+     "malformed config: data.synthetic is invalid: synthetic data positive_rates[1] must lie in [0, 1], got 1.5"),
     (("clients", 1, "skew", "ratio"), 1.5,
      "malformed config: clients[1].skew is invalid: skew ratio must lie in (0, 1], got 1.5"),
     (("clients", 2), "sleepy", "malformed config: clients[2] is invalid: unknown behavior 'sleepy'"),
@@ -912,7 +916,9 @@ def test_sweep_whose_base_has_an_out_of_range_value_is_a_config_error(tmp_path, 
     })
     # every cell would fail the same way; the spec is refused before any is run
     assert main(["sweep", str(spec)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: synthetic data n must be >= 2, got 1\n"
+    assert capsys.readouterr().err == (
+        "config error: malformed config: data.synthetic is invalid: synthetic data n must be >= 2, got 1\n"
+    )
     assert not (tmp_path / "sweep").exists()
 
 

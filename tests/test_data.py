@@ -605,6 +605,12 @@ def test_synthetic_rejects_bad_sizes_and_rates():
         generate_synthetic(10, 2, (1.5, 0.5), seed=0)
 
 
+def test_synthetic_rejects_a_negative_seed():
+    # numpy seeds only from non-negative integers; a negative one is a DataError, not numpy's ValueError
+    with pytest.raises(DataError, match=r"^synthetic data seed must be >= 0, got -1$"):
+        generate_synthetic(10, 2, (0.5, 0.5), seed=-1)
+
+
 def test_synthetic_is_linearly_learnable():
     from fedval.model import ModelParams, TrainConfig, client_update
     from fedval.metrics import accuracy

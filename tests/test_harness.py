@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import fedval.baselines
@@ -302,6 +304,49 @@ def test_run_experiment_overwrites_stale_outputs(tmp_path):
     assert (out_dir / "rounds.csv").read_bytes() == first  # replaced, not appended
 
 
+# Python-built configs that no config file could state, by how they change
+# tiny_config, and the key each names: a run reads its config back from its
+# JSON form, so each is refused as that file would be
+_UNSTATABLE = [
+    (dict(rounds=np.int64(2)), "rounds must be an integer", np.int64(2)),
+    (dict(rounds=2.5), "rounds must be an integer", 2.5),
+    (dict(seed="x"), "seed must be an integer", "x"),
+    (dict(train=TrainConfig(epochs=1.5, batch_size=16, lr=0.1)), "train.epochs must be an integer", 1.5),
+    (dict(ranking=RankingConfig(enabled=np.bool_(True))), "ranking.enabled must be true or false", np.bool_(True)),
+    (dict(data=SyntheticSpec(n=100.5, dim=3, positive_rates=(0.6, 0.4))),
+     "data.synthetic.n must be an integer", 100.5),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message, value", _UNSTATABLE,
+    ids=["rounds-int64", "rounds-float", "seed-str", "epochs-float", "enabled-bool_", "synthetic-n-float"],
+)
+def test_a_config_no_file_could_state_is_refused_before_the_run_before(tmp_path, change, message, value):
+    run = run_experiment(tiny_config(), out_dir=tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert len(before) == 4
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'malformed config: {message}, got {value!r}')}$"):
+        run_experiment(tiny_config(**change), out_dir=run)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "change, variant, message",
+    [
+        (dict(rounds=2.5), SweepVariant("rank", True), "malformed config: rounds must be an integer, got 2.5"),
+        ({}, SweepVariant("rank", np.bool_(True)),
+         f"malformed sweep spec: variants[0].ranking_enabled must be true or false, got {np.bool_(True)!r}"),
+    ],
+    ids=["base-rounds-float", "ranking_enabled-bool_"],
+)
+def test_a_sweep_no_file_could_state_is_refused_before_any_directory(tmp_path, change, variant, message):
+    spec = SweepSpec((0, 3), (variant,), (1,))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_sweep(spec, tiny_config(**change), out_dir=tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_run_experiment_fixed_data_seed_survives_master_reseed(tmp_path):
     # pinning the data seed keeps the dataset fixed while training reseeds
     base = tiny_config(rounds=1, data=SyntheticSpec(n=120, dim=3, positive_rates=(0.6, 0.4), seed=7))
@@ -406,6 +451,13 @@ def test_preset_names_are_sorted_and_buildable():
         assert cfg.out_dir.endswith(name)
 
 
+def test_every_preset_reads_back_as_itself():
+    # a run executes its config as read back from its JSON form: no shipped config changes by it
+    for name in preset_names():
+        cfg = preset(name)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg, name
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_every_preset_runs_two_rounds(tmp_path, name):
     from dataclasses import replace
@@ -467,17 +519,17 @@ def test_sweep_spec_validation():
         SweepSpec((1,), (SweepVariant("a", True),), ())
     with pytest.raises(ConfigError):
         SweepSpec((1,), (SweepVariant("a", True), SweepVariant("a", False)), (1,))
-    # the constructor takes only ints, as the JSON form does: no float,
-    # string or bool is coerced
+    # the constructor takes only ints, by codec.INT as the JSON form does: no
+    # float, string or bool is coerced
     for counts, seeds, field, value in (
-        ((2.7, 3), (1,), "cooperative_counts", "2.7"),
-        ((2, "3"), (1,), "cooperative_counts", "'3'"),
-        ((True,), (1,), "cooperative_counts", "True"),
-        ((2,), (1.9,), "replicate_seeds", "1.9"),
-        ((2,), ("1",), "replicate_seeds", "'1'"),
-        ((2,), (False,), "replicate_seeds", "False"),
+        ((2.7, 3), (1,), r"cooperative_counts\[0\]", "2.7"),
+        ((2, "3"), (1,), r"cooperative_counts\[1\]", "'3'"),
+        ((True,), (1,), r"cooperative_counts\[0\]", "True"),
+        ((2,), (1.9,), r"replicate_seeds\[0\]", "1.9"),
+        ((2,), ("1",), r"replicate_seeds\[0\]", "'1'"),
+        ((2,), (False,), r"replicate_seeds\[0\]", "False"),
     ):
-        with pytest.raises(ConfigError, match=f"^sweep {field} must be integers, got {value}$"):
+        with pytest.raises(ConfigError, match=f"^malformed sweep spec: {field} must be an integer, got {value}$"):
             SweepSpec(counts, (SweepVariant("r", True),), seeds)
     spec = SweepSpec.from_dict(
         {

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import re
@@ -22,6 +21,7 @@ from helpers import (
     GLOBAL_KEYS,
     UNIT_MODEL,
     coverage_dataset,
+    library_bytes,
     reference_csv_rows,
     reference_round,
     written_report,
@@ -106,17 +106,6 @@ def writer_args(report):
         SimpleNamespace(client_id=c["client_id"], behavior=c["behavior"], n=c["n"]) for c in reversed(records)
     ]
     return report["round"], tuple(report["global"][key] for key in GLOBAL_KEYS), clients, info
-
-
-def library_bytes(reports):
-    """The rounds.jsonl and rounds.csv bytes of round objects: `json.dumps` and `csv.writer` over each."""
-    want_csv = io.StringIO(newline="")
-    rows = csv.writer(want_csv)
-    rows.writerow(CSV_COLUMNS)
-    for report in reports:
-        rows.writerows(reference_csv_rows(report))
-    want_jsonl = "".join(json.dumps(report) + "\n" for report in reports)
-    return want_jsonl.encode("utf-8"), want_csv.getvalue().encode("utf-8")
 
 
 def _read_back(tmp_path, report):
