@@ -10,9 +10,8 @@
 
 Every round function is pure and returns the new global model plus a
 `server.RoundInfo`: the effective per-client weights (always a probability
-vector), local losses and, in `extras`, the intermediates the update used
-(q-FFL's h_k).  `reporting.RoundWriter` writes the round's report from
-it, as it does for the fedval strategy.
+vector) and local losses.  `reporting.RoundWriter` writes the round's
+report from it, as it does for the fedval strategy.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DegenerateWeightsError, NumericOverflowError, ShapeError
-from .model import ModelParams, TrainConfig, gradient, loss, train_clients
-from .server import AggregationWeights, RoundInfo, _by_id, _local_losses, _pow, aggregate
+from .model import ModelParams, TrainConfig, gradient, train_clients
+from .server import AggregationWeights, RoundInfo, _by_id, _client_loss, _local_losses, _pow, aggregate
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def fedavg_round(global_params: ModelParams, clients, train_cfg: TrainConfig):
         tuple(c.n / total for c in ordered),
     )
     new_global = aggregate(models, weights)
-    return new_global, RoundInfo(weights, losses, {})
+    return new_global, RoundInfo(weights, losses)
 
 
 def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
@@ -96,14 +95,14 @@ def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
     F_k**q * direction and h_k = q F_k**(q-1) |direction|^2 + L F_k**q; the
     server moves by sum(delta) / sum(h) and weighs client k by h_k / sum(h).
     Each client's F**q, delta and h are checked in that order, then the sum
-    and the step.  `extras` holds each client's |direction|^2 and h_k.
+    and the step.
     """
     q, lipschitz = qcfg.q, qcfg.lipschitz
-    deltas, hs, losses, extras = [], [], {}, {}
+    deltas, hs, losses = [], [], {}
     # one errstate per round; `loss` clamps a huge model's logits, and other overflows are reported
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c, direction in zip(ordered, directions):
-            f = loss(global_params, c.data)
+            f = _client_loss(c, global_params)
             fq = _pow(f, q)
             if not math.isfinite(fq):
                 raise NumericOverflowError(
@@ -123,7 +122,6 @@ def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
             deltas.append(delta)
             hs.append(h)
             losses[c.client_id] = f
-            extras[c.client_id] = {"grad_norm_sq": norm2, "h": float(h)}
         total_h = float(np.sum(hs))
         new_flat = _flat(global_params) - np.sum(deltas, axis=0) / total_h
     if not total_h > 0:  # every F**q and F**(q-1) underflowed to 0
@@ -135,7 +133,7 @@ def _q_round(global_params: ModelParams, ordered, directions, qcfg: QConfig):
             f"q-FFL server step overflowed at q={q}; reduce q or the Lipschitz estimate"
         )
     weights = AggregationWeights(tuple(c.client_id for c in ordered), tuple(h / total_h for h in hs))
-    return ModelParams(new_flat[:-1], float(new_flat[-1])), RoundInfo(weights, losses, extras)
+    return ModelParams(new_flat[:-1], float(new_flat[-1])), RoundInfo(weights, losses)
 
 
 def qfedsgd_round(global_params: ModelParams, clients, qcfg: QConfig):
@@ -199,7 +197,7 @@ def afl_round(
                 weight = lam[c.client_id]
                 mixed_w += weight * gw
                 mixed_b += weight * gb
-                losses[c.client_id] = loss(global_params, c.data)
+                losses[c.client_id] = _client_loss(c, global_params)
             new_global = ModelParams(
                 global_params.weights - lr * mixed_w, global_params.bias - lr * mixed_b
             )
@@ -209,4 +207,4 @@ def afl_round(
     used = AggregationWeights(ids, [lam[cid] for cid in ids])
     ascended = [l + lr_lambda * losses[cid] for cid, l in zip(ids, used.p)]
     next_mixture = AggregationWeights(ids, project_simplex(ascended).tolist())
-    return new_global, next_mixture, RoundInfo(used, losses, {})
+    return new_global, next_mixture, RoundInfo(used, losses)

@@ -20,6 +20,8 @@ import math
 from collections import namedtuple
 from dataclasses import MISSING, fields
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 
@@ -72,8 +74,13 @@ def _scalar(name, accepts, read=lambda value: value) -> Kind:
 
 # type(v) is int, not isinstance: a bool is an int to isinstance.  Python's
 # json reads NaN, Infinity and -Infinity as floats; FLOAT turns them down.
+# FLOAT writes a bool as it is, so reading it back turns it down as a file's `true` is.
 INT = _scalar("an integer", lambda v: type(v) is int)
-FLOAT = _scalar("a number", lambda v: type(v) is int or (type(v) is float and math.isfinite(v)), float)
+FLOAT = _scalar(
+    "a number",
+    lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+    lambda v: v if isinstance(v, (bool, np.bool_)) else float(v),
+)
 BOOL = _scalar("true or false", lambda v: type(v) is bool)
 STR = _scalar("a string", lambda v: type(v) is str)
 

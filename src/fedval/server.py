@@ -99,16 +99,15 @@ class RoundInfo:
     """What one round of any strategy did, for reporting and replay.
 
     `weights` are the effective per-client weights (always a probability
-    vector), `losses` each client's loss on its shard by id and `extras` the
-    intermediates a baseline's update used.  The loss is taken at the
-    client's local model after SGD for fedval and fedavg, and at the
-    incoming global model for qfedsgd, qfedavg and afl.  Only fedval sets
-    `scores`, and only fedval with ranking on sets `rank`, the new rank mass.
+    vector) and `losses` each client's loss on its shard by id.  The loss
+    is taken at the client's local model after SGD for fedval and fedavg,
+    and at the incoming global model for qfedsgd, qfedavg and afl.  Only
+    fedval sets `scores`, and only fedval with ranking on sets `rank`, the
+    new rank mass.
     """
 
     weights: AggregationWeights
     losses: dict
-    extras: dict
     scores: ScoreVector | None = None
     rank: RankState | None = None
 
@@ -118,20 +117,22 @@ def _by_id(clients) -> list[ClientProfile]:
     return sorted(clients, key=lambda c: c.client_id)
 
 
+def _client_loss(client: ClientProfile, params: ModelParams) -> float:
+    """`loss(params, client.data)`; a nan logit raises NumericOverflowError naming the client."""
+    try:
+        return loss(params, client.data)
+    except NumericOverflowError as exc:
+        raise NumericOverflowError(f"client {client.client_id}: {exc}") from None
+
+
 def _local_losses(ordered, models) -> dict:
     """Each client's loss on its shard at its own model, by id, under one errstate per round.
 
     A huge model's logits overflow to +-inf, which `loss` clamps, so numpy
     prints no warning; a nan logit raises NumericOverflowError naming the client.
     """
-    losses = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, m in zip(ordered, models):
-            try:
-                losses[c.client_id] = loss(m, c.data)
-            except NumericOverflowError as exc:
-                raise NumericOverflowError(f"client {c.client_id}: {exc}") from None
-    return losses
+        return {c.client_id: _client_loss(c, m) for c, m in zip(ordered, models)}
 
 
 def _check_blend(global_params: ModelParams, client_params, alpha: float) -> None:
@@ -287,4 +288,4 @@ def fedval_round(
 
     new_global = aggregate(models, weights)
     losses = _local_losses(ordered, models)
-    return new_global, state if rank is None else rank, RoundInfo(weights, losses, {}, scores, rank)
+    return new_global, state if rank is None else rank, RoundInfo(weights, losses, scores, rank)

@@ -384,11 +384,10 @@ def reference_q_round(global_params, clients, directions, qcfg):
     F_k the loss at `global_params`, delta_k = F_k**q * d_k and
     h_k = q F_k**(q-1) |d_k|^2 + L F_k**q (L F_k**q alone at q = 0); the
     flat model moves by sum(delta) / sum(h), each sum taken by np.sum.
-    Returns the new model, the weights h_k / sum(h) by id, the losses and
-    the extras.
+    Returns the new model, the weights h_k / sum(h) by id and the losses.
     """
     q, L = qcfg.q, qcfg.lipschitz
-    deltas, hs, losses, extras = [], {}, {}, {}
+    deltas, hs, losses = [], {}, {}
     for c in sorted(clients, key=lambda c: c.client_id):
         f = reference_loss(global_params, c.data)
         d = directions[c.client_id]
@@ -397,12 +396,11 @@ def reference_q_round(global_params, clients, directions, qcfg):
         deltas.append(f**q * d)
         hs[c.client_id] = h
         losses[c.client_id] = f
-        extras[c.client_id] = {"grad_norm_sq": norm2, "h": h}
     total_h = float(np.sum(list(hs.values())))
     flat = np.concatenate([global_params.weights, [global_params.bias]])
     vec = flat - np.sum(deltas, axis=0) / total_h
     weights = {cid: h / total_h for cid, h in hs.items()}
-    return ModelParams(vec[:-1], float(vec[-1])), weights, losses, extras
+    return ModelParams(vec[:-1], float(vec[-1])), weights, losses
 
 
 # ---------------------------------------------------------------------------

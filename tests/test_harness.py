@@ -315,12 +315,17 @@ _UNSTATABLE = [
     (dict(ranking=RankingConfig(enabled=np.bool_(True))), "ranking.enabled must be true or false", np.bool_(True)),
     (dict(data=SyntheticSpec(n=100.5, dim=3, positive_rates=(0.6, 0.4))),
      "data.synthetic.n must be an integer", 100.5),
+    (dict(temp_alpha=True), "temp_alpha must be a number", True),
+    (dict(temp_alpha=np.True_), "temp_alpha must be a number", np.True_),
 ]
 
 
 @pytest.mark.parametrize(
     "change, message, value", _UNSTATABLE,
-    ids=["rounds-int64", "rounds-float", "seed-str", "epochs-float", "enabled-bool_", "synthetic-n-float"],
+    ids=[
+        "rounds-int64", "rounds-float", "seed-str", "epochs-float", "enabled-bool_", "synthetic-n-float",
+        "temp_alpha-bool", "temp_alpha-bool_",
+    ],
 )
 def test_a_config_no_file_could_state_is_refused_before_the_run_before(tmp_path, change, message, value):
     run = run_experiment(tiny_config(), out_dir=tmp_path / "run")
@@ -329,6 +334,12 @@ def test_a_config_no_file_could_state_is_refused_before_the_run_before(tmp_path,
     with pytest.raises(ConfigError, match=f"^{re.escape(f'malformed config: {message}, got {value!r}')}$"):
         run_experiment(tiny_config(**change), out_dir=run)
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_a_numpy_float_runs_as_the_float_it_equals(tmp_path):
+    want = run_experiment(tiny_config(temp_alpha=0.5), out_dir=tmp_path / "float")
+    got = run_experiment(tiny_config(temp_alpha=np.float32(0.5)), out_dir=tmp_path / "float32")
+    assert {p.name: p.read_bytes() for p in got.iterdir()} == {p.name: p.read_bytes() for p in want.iterdir()}
 
 
 @pytest.mark.parametrize(

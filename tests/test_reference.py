@@ -1,5 +1,6 @@
 """`run_experiment` against the plain reference run of `reference.py`, byte for byte."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedval.baselines import QConfig
 from fedval.data import BEHAVIORS, ClientSpec, SkewSpec
 from fedval.errors import FedValError
-from fedval.harness import ExperimentConfig, SyntheticSpec, run_experiment
+from fedval.harness import STRATEGIES, ExperimentConfig, SyntheticSpec, run_experiment
 from fedval.metrics import OBJECTIVE_KINDS, ObjectiveSpec
 from fedval.model import TrainConfig
 from fedval.server import RankingConfig
@@ -23,11 +25,12 @@ _CLIENT = st.builds(ClientSpec, st.sampled_from(BEHAVIORS), st.none() | _SKEW)
 
 @st.composite
 def small_configs(draw):
-    """fedval and fedavg configs of 1-6 clients on skewed shards, d on both sides of `_CONTIGUOUS_DIM`."""
-    k = draw(st.integers(1, 6))
+    """Configs of every strategy, 1-6 clients on skewed shards, d on both sides of `_CONTIGUOUS_DIM`."""
+    strategy, k = draw(st.sampled_from(STRATEGIES)), draw(st.integers(1, 6))
     kinds = draw(st.lists(st.sampled_from(OBJECTIVE_KINDS), min_size=1, max_size=3, unique=True))
+    q, lipschitz = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])), draw(st.sampled_from([0.1, 1.0, 10.0]))
     return ExperimentConfig(
-        strategy=draw(st.sampled_from(["fedval", "fedavg"])),
+        strategy=strategy,
         rounds=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
         data=SyntheticSpec(n=k * draw(st.integers(40, 120)), dim=draw(st.integers(1, 20)), positive_rates=(0.6, 0.4)),
@@ -42,6 +45,8 @@ def small_configs(draw):
             step_size=draw(st.sampled_from([1.0, 1.5, 3.0])),
         ),
         temp_alpha=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+        qfed=QConfig(q, lipschitz) if strategy in ("qfedsgd", "qfedavg") else None,
+        afl_lambda_lr=draw(st.sampled_from([0.01, 0.1, 1.0])),
     )
 
 
@@ -51,7 +56,7 @@ def test_a_run_writes_the_reference_runs_files_byte_for_byte(cfg):
     try:
         want = reference_files(cfg)
     except FedValError as exc:  # a config that fails fails the same way in a run
-        with pytest.raises(type(exc)), tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"), tempfile.TemporaryDirectory() as tmp:
             run_experiment(cfg, out_dir=tmp)
         return
     with tempfile.TemporaryDirectory() as tmp:

