@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedval.baselines import QConfig
@@ -50,8 +50,32 @@ def small_configs(draw):
     )
 
 
+def _three_rounds_of(strategy):
+    """A fixed three-round config of `strategy` that sets up and runs, so each tier-1 run checks every strategy.
+
+    Three rounds, because AFL's mixture is still uniform after round 1: every
+    client's loss at the zero model is ln 2.
+    """
+    return ExperimentConfig(
+        strategy=strategy,
+        rounds=3,
+        seed=7,
+        data=SyntheticSpec(n=240, dim=5, positive_rates=(0.6, 0.4)),
+        clients=(ClientSpec(), ClientSpec("uncooperative", SkewSpec(0.5, retain=0.8)), ClientSpec()),
+        train=TrainConfig(epochs=1, batch_size=8, lr=0.5),
+        objectives=ObjectiveSpec((("accuracy", 1.0), ("spd", 1.0), ("eod", 1.0))),
+        ranking=RankingConfig(enabled=True),
+        qfed=QConfig(2.0, 1.0) if strategy in ("qfedsgd", "qfedavg") else None,
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_configs())
+@example(_three_rounds_of("fedval"))
+@example(_three_rounds_of("fedavg"))
+@example(_three_rounds_of("qfedsgd"))
+@example(_three_rounds_of("qfedavg"))
+@example(_three_rounds_of("afl"))
 def test_a_run_writes_the_reference_runs_files_byte_for_byte(cfg):
     try:
         want = reference_files(cfg)
