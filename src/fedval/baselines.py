@@ -179,9 +179,13 @@ def afl_round(
         raise ConfigError(f"lr_lambda must be positive, got {lr_lambda}")
     ordered = _by_id(clients)
     ids = tuple(c.client_id for c in ordered)
-    if set(ids) != set(mixture.client_ids):
-        raise ConfigError("AFL mixture does not cover the participating clients")
-    lam = dict(zip(mixture.client_ids, mixture.p))
+    # every round's mixture comes in id order and is the step's weights as it is;
+    # any other order is checked and rebuilt in id order
+    if mixture.client_ids != ids:
+        if set(ids) != set(mixture.client_ids):
+            raise ConfigError("AFL mixture does not cover the participating clients")
+        lam = dict(zip(mixture.client_ids, mixture.p))
+        mixture = AggregationWeights(ids, [lam[cid] for cid in ids])
 
     # the lambda-mixed gradient, weights and bias apart: element for element
     # the sum and the step the flat vector [w, b] would take
@@ -192,9 +196,8 @@ def afl_round(
     try:
         # a step too large for the float range overflows here, or in the next round's logits
         with np.errstate(over="raise"):
-            for c in ordered:
+            for c, weight in zip(ordered, mixture.p):
                 gw, gb = gradient(global_params, c.data)
-                weight = lam[c.client_id]
                 mixed_w += weight * gw
                 mixed_b += weight * gb
                 losses[c.client_id] = _client_loss(c, global_params)
@@ -204,7 +207,6 @@ def afl_round(
     except FloatingPointError:
         raise NumericOverflowError(f"AFL model step diverged at learning rate {lr!r}") from None
 
-    used = AggregationWeights(ids, [lam[cid] for cid in ids])
-    ascended = [l + lr_lambda * losses[cid] for cid, l in zip(ids, used.p)]
+    ascended = [l + lr_lambda * losses[cid] for cid, l in zip(ids, mixture.p)]
     next_mixture = AggregationWeights(ids, project_simplex(ascended).tolist())
-    return new_global, next_mixture, RoundInfo(used, losses)
+    return new_global, next_mixture, RoundInfo(mixture, losses)

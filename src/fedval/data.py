@@ -134,6 +134,20 @@ class TabularDataset:
         return order
 
     @cached_property
+    def labels_float(self) -> np.ndarray:
+        """(n,) `labels` as float64, read-only: the targets of `model.client_update` and `model.gradient`."""
+        y = self.labels.astype(np.float64)
+        y.flags.writeable = False
+        return y
+
+    @cached_property
+    def labels_bool(self) -> np.ndarray:
+        """(n,) `labels == 1`, read-only: the row selector of `model.loss`."""
+        positive = self.labels == 1
+        positive.flags.writeable = False
+        return positive
+
+    @cached_property
     def features_t(self) -> np.ndarray:
         """(d, n) C-contiguous copy of `features.T`, read-only; see `metrics._block_logits`."""
         t = np.ascontiguousarray(self.features.T)
@@ -389,6 +403,13 @@ def _check_synthetic(n, dim, positive_rates, seed, error) -> None:
         raise error(f"synthetic data n must be >= 2, got {n}")
     if dim < 1:
         raise error(f"synthetic data dim must be >= 1, got {dim}")
+    # more float64 bytes than numpy can shape, let alone allocate: n * dim * 8 > intp max,
+    # decided without a product that could overflow a numpy integer
+    if n > np.iinfo(np.intp).max // 8 // dim:
+        raise error(
+            f"synthetic data of n={n} rows by dim={dim} is too large for one float64 array "
+            f"(at most {np.iinfo(np.intp).max} bytes)"
+        )
     for i, rate in enumerate(positive_rates):
         if not (0.0 <= rate <= 1.0):
             raise error(f"synthetic data positive_rates[{i}] must lie in [0, 1], got {rate}")

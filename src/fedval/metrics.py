@@ -104,14 +104,20 @@ def positive_counts(weights: np.ndarray, biases: np.ndarray, dataset: TabularDat
 
     `weights` is (K, d) and `biases` (K,).  The models are classified a few
     at a time with `is_positive`'s rule, so the pass never holds more than a
-    narrow block of predictions.  Returns the (4, K) counts and the (4,)
-    cell sizes, both exact integers in float64.  Logits that overflow
-    raise no numpy warning; `is_positive` takes them as it says.
+    narrow block of predictions.  One model (K = 1, as the global metrics
+    ask for each round) is one gemv on `features.T`, the bits of a
+    one-model block, without the block loop.  Returns the (4, K) counts and
+    the (4,) cell sizes, both exact integers in float64.  Logits that
+    overflow raise no numpy warning; `is_positive` takes them as it says.
     """
     if weights.shape[1] != dataset.dim:
         raise ShapeError(f"features must be (n, {weights.shape[1]}), got {dataset.features.shape}")
-    counts = np.empty((len(weights), dataset.cells.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # once per call, not per block
+        if len(weights) == 1:
+            logits = weights[0].dot(dataset.features.T)
+            logits += biases[0]
+            return is_positive(logits).dot(dataset.cells)[:, None], dataset.cell_sizes
+        counts = np.empty((len(weights), dataset.cells.shape[1]))
         for block, logits in _block_logits(weights, biases, dataset):
             counts[block] = is_positive(logits).dot(dataset.cells)
     return counts.T, dataset.cell_sizes

@@ -164,7 +164,7 @@ def _dataset_proba(params: ModelParams, dataset: TabularDataset) -> np.ndarray:
     """
     _check_dim(params, dataset)
     p = _proba(params, dataset.features)
-    p.flags.writeable = False
+    p.setflags(write=False)  # cheaper than the `flags` attribute's wrapper
     return p
 
 
@@ -205,10 +205,10 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
     n = dataset.n
     p = np.maximum(_dataset_proba(params, dataset), _CLAMP)
     np.minimum(p, _CLAMP_HI, out=p)
-    # one log per row, of p or 1 - p by label (the 0/1 labels select as
-    # they are), taken in place: the clamp keeps log(p) and log(1 - p) finite
-    # and nonzero, so y log(p) + (1 - y) log(1 - p) is exactly this log
-    terms = np.where(dataset.labels, p, 1.0 - p)
+    # one log per row, of p or 1 - p by label, taken in place: the clamp
+    # keeps log(p) and log(1 - p) finite and nonzero, so
+    # y log(p) + (1 - y) log(1 - p) is exactly this log
+    terms = np.where(dataset.labels_bool, p, 1.0 - p)
     np.log(terms, out=terms)
     # summation order fixed by value so row permutations cannot move the result
     terms.sort()
@@ -222,7 +222,7 @@ def loss(params: ModelParams, dataset: TabularDataset) -> float:
 def gradient(params: ModelParams, dataset: TabularDataset):
     """Analytic loss gradient: (mean (p - y) x, mean (p - y))."""
     n = dataset.n
-    err = _dataset_proba(params, dataset) - dataset.labels
+    err = _dataset_proba(params, dataset) - dataset.labels_float
     # features.T @ err, not err.dot(features): on a one-row shard the dot
     # returns -0.0 where this gemv returns +0.0
     grad_w = dataset.features.T @ err
@@ -244,7 +244,7 @@ def client_update(params: ModelParams, local: TabularDataset, cfg: TrainConfig, 
         rng = np.random.default_rng(cfg.seed)
     order = local.canonical_order
     features = local.features
-    labels = local.labels.astype(np.float64)
+    labels = local.labels_float
     n, size, lr = local.n, cfg.batch_size, cfg.lr
 
     w = params.weights.copy()

@@ -142,6 +142,11 @@ class RoundWriter:
         if info.rank is not None:
             rs = info.rank.rs
         losses, heads, ordered = info.losses, self._heads, _by_id(clients)
+        # every strategy but fedval reports no scores and no rank mass: constant null cells
+        nulls = info.scores is None and info.rank is None
+        if nulls:
+            score_text, score_cells = _scores_texts(None)
+            composite_text, composite_cell = rs_text, rs_cell = _NULL
         round_text, round_cell = _texts(round_index)
         objects, lines = [], []
         for c in ordered:
@@ -150,14 +155,24 @@ class RoundWriter:
             head = heads.get(key)
             if head is None:
                 head = heads[key] = _client_head(*key)
-            local_loss, loss_cell = _texts(losses[cid])
-            p_text, p_cell = _texts(p[cid])
-            # scores, composite and rs are fedval's alone: a check skips the call
-            score_text, score_cells = _scores_texts(scores.get(cid))
-            value = composite.get(cid)
-            composite_text, composite_cell = _NULL if value is None else _texts(value)
-            value = rs.get(cid)
-            rs_text, rs_cell = _NULL if value is None else _texts(value)
+            # a finite float, as a loss and a weight nearly always are, is `_texts`' first case, inline
+            value = losses[cid]
+            if type(value) is float and math.isfinite(value):
+                local_loss = loss_cell = float.__repr__(value)
+            else:
+                local_loss, loss_cell = _texts(value)
+            value = p[cid]
+            if type(value) is float and math.isfinite(value):
+                p_text = p_cell = float.__repr__(value)
+            else:
+                p_text, p_cell = _texts(value)
+            if not nulls:
+                # scores, composite and rs are fedval's alone: a check skips the call
+                score_text, score_cells = _scores_texts(scores.get(cid))
+                value = composite.get(cid)
+                composite_text, composite_cell = _NULL if value is None else _texts(value)
+                value = rs.get(cid)
+                rs_text, rs_cell = _NULL if value is None else _texts(value)
             objects.append(
                 f'{head[0]}"local_loss": {local_loss}, "scores": {score_text}, '
                 f'"composite": {composite_text}, "p": {p_text}, "rs": {rs_text}}}'

@@ -522,6 +522,8 @@ def _afl_cases(draw):
     return dict(
         ids=ids, lam=lam, grads=grads, losses=losses, start=start,
         lr=draw(st.floats(1e-3, 10.0)), lr_lambda=draw(st.floats(1e-3, 10.0)),
+        # the mixture's ids: as drawn, in id order (every round's), or in reverse id order
+        order=draw(st.sampled_from(("drawn", "ascending", "descending"))),
     )
 
 
@@ -531,15 +533,19 @@ def test_afl_round_step_equals_the_flat_reference(case):
     # exactness bound: none.  The step on (d,) weights plus a float bias, and
     # the Python-float simplex projection, must give the flat-vector
     # reference's new model, next mixture and weights bit for bit, zeros and
-    # -0.0 gradient entries included.  gradient and loss are replaced by the
-    # drawn values, looked up by shard.
+    # -0.0 gradient entries included, whatever the order of the mixture's
+    # ids.  gradient and loss are replaced by the drawn values, looked up by
+    # shard.
     dim = case["start"].dim
     clients = [
         ClientProfile(cid, "cooperative", TabularDataset(np.zeros((1, dim)), [0], [0]))
         for cid in case["ids"]
     ]
     by_data = {id(c.data): c.client_id for c in clients}
-    mixture = AggregationWeights(case["ids"], case["lam"])
+    pairs = list(zip(case["ids"], case["lam"]))
+    if case["order"] != "drawn":
+        pairs.sort(reverse=case["order"] == "descending")
+    mixture = AggregationWeights(*zip(*pairs))
 
     def fake_gradient(params, data):
         gw, gb = case["grads"][by_data[id(data)]]
@@ -560,4 +566,5 @@ def test_afl_round_step_equals_the_flat_reference(case):
     assert _bits([new_global.bias]) == _bits([want_global.bias])
     assert next_mixture.client_ids == tuple(sorted(case["ids"]))
     assert _bits(next_mixture.p) == _bits(want_lam)
+    assert info.weights.client_ids == tuple(sorted(case["ids"]))
     assert _bits(info.weights.p) == _bits(want_weights)

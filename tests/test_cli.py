@@ -797,6 +797,13 @@ _OUT_OF_RANGE = [
     (("clients", 1, "skew", "ratio"), 1.5,
      "malformed config: clients[1].skew is invalid: skew ratio must lie in (0, 1], got 1.5"),
     (("clients", 2), "sleepy", "malformed config: clients[2] is invalid: unknown behavior 'sleepy'"),
+    # rows numpy cannot shape: it raised "Maximum allowed dimension exceeded", exit 1
+    (("data", "synthetic", "n"), 10**21,
+     "malformed config: data.synthetic is invalid: synthetic data of n=1000000000000000000000 rows by dim=3 "
+     "is too large for one float64 array (at most 9223372036854775807 bytes)"),
+    (("data", "synthetic", "dim"), 2**62,
+     "malformed config: data.synthetic is invalid: synthetic data of n=160 rows by dim=4611686018427387904 "
+     "is too large for one float64 array (at most 9223372036854775807 bytes)"),
 ]
 
 
@@ -904,22 +911,75 @@ def test_gen_data_with_an_out_of_range_n_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_sweep_whose_base_has_an_out_of_range_value_is_a_config_error(tmp_path, capsys):
-    base = _fuzz_base("fedval")
+def _sweep_over(tmp_path, base):
+    """A two-cell sweep spec over `base`, written to tmp_path/sweep.json, into tmp_path/sweep."""
     base["out_dir"] = str(tmp_path / "sweep")
-    base["data"]["synthetic"]["n"] = 1
-    spec = write_json(tmp_path / "sweep.json", {
+    return write_json(tmp_path / "sweep.json", {
         "base": base,
         "cooperative_counts": [0, 3],
         "variants": [{"name": "rank", "ranking_enabled": True}],
         "replicate_seeds": [1],
     })
+
+
+def test_sweep_whose_base_has_an_out_of_range_value_is_a_config_error(tmp_path, capsys):
+    base = _fuzz_base("fedval")
+    base["data"]["synthetic"]["n"] = 1
     # every cell would fail the same way; the spec is refused before any is run
-    assert main(["sweep", str(spec)]) == EXIT_CONFIG
+    assert main(["sweep", str(_sweep_over(tmp_path, base))]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "config error: malformed config: data.synthetic is invalid: synthetic data n must be >= 2, got 1\n"
     )
     assert not (tmp_path / "sweep").exists()
+
+
+# an n whose (n, 2) float64 rows numpy cannot shape: gen-data and run exited 1
+# with numpy's "Maximum allowed dimension exceeded", and a sweep aborted
+_UNSHAPEABLE = {"n": 10**21, "dim": 2, "positive_rates": [0.5, 0.5], "seed": 1}
+_UNSHAPEABLE_ERROR = (
+    "synthetic data of n=1000000000000000000000 rows by dim=2 is too large for one float64 array "
+    "(at most 9223372036854775807 bytes)"
+)
+
+
+def test_gen_data_with_rows_numpy_cannot_shape_is_a_config_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", _UNSHAPEABLE)
+    assert main(["gen-data", str(spec), str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {_UNSHAPEABLE_ERROR}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_whose_base_has_rows_numpy_cannot_shape_is_a_config_error(tmp_path, capsys):
+    base = _fuzz_base("fedval")
+    base["data"]["synthetic"] = _UNSHAPEABLE
+    assert main(["sweep", str(_sweep_over(tmp_path, base))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: malformed config: data.synthetic is invalid: {_UNSHAPEABLE_ERROR}\n"
+    )
+    assert not (tmp_path / "sweep").exists()
+
+
+# rows numpy can shape but no machine can hold: its first (n / 2,) draw asks for
+# 355 PiB, more than a 57-bit address space, so the allocation fails before any page is touched
+_BEYOND_MEMORY = {"n": 10**17, "dim": 2, "positive_rates": [0.5, 0.5], "seed": 1}
+_BEYOND_MEMORY_ERROR = "error: out of memory: Unable to allocate 355. PiB for an array with shape "
+
+
+def test_gen_data_beyond_memory_is_an_out_of_memory_error(tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", _BEYOND_MEMORY)
+    assert main(["gen-data", str(spec), str(tmp_path / "out.csv")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(_BEYOND_MEMORY_ERROR) and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_run_beyond_memory_is_an_out_of_memory_error_and_keeps_the_run_before(tmp_path, capsys):
+    raw, before = _finished_run(tmp_path, capsys)
+    raw["data"]["synthetic"] = _BEYOND_MEMORY
+    assert main(["run", str(write_json(tmp_path / "big.json", raw))]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(_BEYOND_MEMORY_ERROR) and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
 def _overflow_config(tmp_path, **change):

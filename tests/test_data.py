@@ -32,7 +32,7 @@ from fedval.errors import (
     RowParseError,
     SchemaError,
 )
-from fedval.data import _NOISE_BLOCK_BYTES, _covers
+from fedval.data import _NOISE_BLOCK_BYTES, _check_synthetic, _covers
 from fedval.model import ModelParams, loss
 from helpers import coverage_dataset, reference_synthetic_arrays, rows_as_multiset
 
@@ -174,6 +174,23 @@ def test_built_datasets_are_checked_like_public_ones():
 def test_coverage_test_equals_two_unique_values(values):
     arr = np.array(values, dtype=np.int64)
     assert _covers(arr) == (len(np.unique(arr)) == 2)
+
+
+def test_cached_label_forms_are_read_only_and_equal_their_plain_forms(tmp_path):
+    # exactness bound: none.  `client_update` and `gradient` read the float
+    # labels, `loss` the bool ones, in place of a conversion in every call
+    public = TabularDataset(np.zeros((4, 1)), [1, 0, 0, 1], [1, 1, 0, 0])
+    for _, ds in [(None, public), *_built_datasets(tmp_path)]:
+        forms = (
+            (ds.labels_float, ds.labels.astype(np.float64)),
+            (ds.labels_bool, ds.labels == 1),
+        )
+        for cached, plain in forms:
+            assert cached.dtype == plain.dtype and np.array_equal(cached, plain)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0
+        assert ds.labels_float is ds.labels_float and ds.labels_bool is ds.labels_bool  # built once
 
 
 def test_cached_cell_arrays():
@@ -603,6 +620,21 @@ def test_synthetic_rejects_bad_sizes_and_rates():
         generate_synthetic(10, 0, (0.5, 0.5), seed=0)
     with pytest.raises(DataError):
         generate_synthetic(10, 2, (1.5, 0.5), seed=0)
+
+
+@pytest.mark.parametrize("n, dim", [(10**21, 8), (2**59, 2), (2, 2**62), (np.int64(2**40), np.int64(2**40))])
+def test_synthetic_rejects_rows_too_large_for_one_float64_array(n, dim):
+    # n * dim * 8 bytes over intp's range: numpy would raise a ValueError
+    # ("Maximum allowed dimension exceeded") before any allocation; numpy
+    # integers are compared without a product that could overflow
+    with pytest.raises(DataError, match=rf"^synthetic data of n={n} rows by dim={dim} is too large "):
+        generate_synthetic(n, dim, (0.5, 0.5), seed=0)
+
+
+def test_synthetic_size_check_accepts_every_size_numpy_can_shape():
+    # 2**63 - 16 bytes fit intp; allocating them is a MemoryError, left to numpy
+    _check_synthetic(2**59 - 1, 2, (0.5, 0.5), 0, DataError)
+    _check_synthetic(2**60 - 1, 1, (0.5, 0.5), 0, DataError)
 
 
 def test_synthetic_rejects_a_negative_seed():

@@ -74,7 +74,7 @@ def baseline_report(round_index=1):
         client_obj(client_id=0, behavior="cooperative", n=40, local_loss=0.5, p=0.5),
         client_obj(client_id=1, behavior="cooperative", n=40, local_loss=0.6, p=0.5),
     )
-    return round_obj(1, (0.7, 0.1, 0.05), clients)
+    return round_obj(round_index, (0.7, 0.1, 0.05), clients)
 
 
 def writer_args(report):
@@ -332,33 +332,63 @@ _SCORES = st.one_of(
     st.fixed_dictionaries({kind: _VALUES for kind in OBJECTIVE_KINDS}),
     st.dictionaries(st.sampled_from((*OBJECTIVE_KINDS, "extra")), _VALUES, max_size=4),
 )
-# the writer derives rs_spread from the rank mass, so a mass is a float:
-# what a RankState holds, NaN and the infinities included
-_CLIENTS = st.fixed_dictionaries({
-    "client_id": st.integers(0, 10**6),
-    "behavior": _TEXT,
-    "n": st.integers(0, 10**9),
-    "local_loss": _VALUES,
-    "scores": _SCORES,
-    "composite": _VALUES,
-    "p": _VALUES,
-    "rs": st.one_of(st.none(), _FLOATS),
-})
-_REPORTS = st.fixed_dictionaries({
-    "round": st.integers(0, 10**6),
-    "global": st.fixed_dictionaries({key: _VALUES for key in GLOBAL_KEYS}),
-    "rs_spread": st.none(),
-    "clients": st.lists(_CLIENTS, max_size=4, unique_by=lambda c: c["client_id"]),
-})
+# a loss and a weight are formatted inline when they are finite floats;
+# every other kind (nan, the infinities, numpy's float64, int) takes `_texts`
+_LOSS_OR_P = st.one_of(_VALUES, st.integers(-(10**20), 10**20))
+
+
+def _reports(scored, ranked):
+    """Round objects that reach one branch of the writer.
+
+    With neither scores nor rank mass (every strategy but fedval) the
+    writer writes constant null cells; with either it formats them.  A
+    scored round has a client with scores or a composite and a ranked one a
+    client with rank mass, so `writer_args` hands the writer both.  The
+    writer derives rs_spread from the rank mass, so a mass is a float: what
+    a RankState holds, NaN and the infinities included.
+    """
+    client = st.fixed_dictionaries({
+        "client_id": st.integers(0, 10**6),
+        "behavior": _TEXT,
+        "n": st.integers(0, 10**9),
+        "local_loss": _LOSS_OR_P,
+        "scores": _SCORES if scored else st.none(),
+        "composite": _VALUES if scored else st.none(),
+        "p": _LOSS_OR_P,
+        "rs": st.one_of(st.none(), _FLOATS) if ranked else st.none(),
+    })
+    clients = st.lists(client, max_size=4, unique_by=lambda c: c["client_id"])
+    if scored:
+        clients = clients.filter(lambda cs: any(c["scores"] is not None or c["composite"] is not None for c in cs))
+    if ranked:
+        clients = clients.filter(lambda cs: any(c["rs"] is not None for c in cs))
+    return st.fixed_dictionaries({
+        "round": st.integers(0, 10**6),
+        "global": st.fixed_dictionaries({key: _VALUES for key in GLOBAL_KEYS}),
+        "rs_spread": st.none(),
+        "clients": clients,
+    })
+
+
+_REPORTS = st.one_of(*(_reports(scored, ranked) for scored in (False, True) for ranked in (False, True)))
+# a null-cell round whose losses and weights take every path of their texts
+_UNSCORED = round_obj(3, (0.5, 0.0, -0.0), (
+    client_obj(client_id=2, behavior="cooperative", n=5, local_loss=math.nan, p=-0.0),
+    client_obj(client_id=4, behavior="cooperative", n=5, local_loss=math.inf, p=np.float64(0.25)),
+    client_obj(client_id=7, behavior="uncooperative", n=5, local_loss=-math.inf, p=1),
+    client_obj(client_id=9, behavior="uncooperative", n=5, local_loss=np.float64(-0.0), p=0.75),
+))
 
 
 @settings(max_examples=150, deadline=None)
 @given(reports=st.lists(_REPORTS, min_size=1, max_size=3))
 @example(reports=[sample_report()])
 @example(reports=[baseline_report(), sample_report(round_index=2, with_rank=False)])
+@example(reports=[_UNSCORED, sample_report(round_index=4), baseline_report(round_index=5)])
 def test_round_writer_bytes_equal_the_library_forms(reports):
-    # exactness bound: none.  Each value is formatted once for both files,
-    # and the bytes must be json.dumps's of the oracle's round object of the
+    # exactness bound: none.  Each value is formatted once for both files, on
+    # either branch of the writer (null cells, or scores and rank mass), and
+    # the bytes must be json.dumps's of the oracle's round object of the
     # same arguments and csv.writer's over its plain rows
     args = [writer_args(report) for report in reports]
     want_jsonl, want_csv = library_bytes([reference_round(*round_args) for round_args in args])
