@@ -27,7 +27,11 @@ beside this script.  Each run's output digests come from perfbench's
 summary line of the workload; the script also prints on how many pairs
 the parent and the change wrote equal outputs.  That count is reported,
 not a failure: a change may mean to alter its outputs.  Each workload's
-header names the commit of each side, from perfbench's environment line.
+header names the commit of each side, from perfbench's environment line,
+and the state of each side's sources: whether `src/` differs from that
+commit (`git status --porcelain -- src`) and a short sha256 of
+`src/fedval/*.py`, so two runs of one commit with different uncommitted
+code can be told apart.
 
 Nothing is written but what perfbench itself writes: its work directory
 under each checkout, which it removes.  Exits 1 if any run is not correct
@@ -37,6 +41,7 @@ under each checkout, which it removes.  Exits 1 if any run is not correct
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -77,6 +82,23 @@ def environment_commit(stdout: str) -> str | None:
 def side_commit(runs: list[dict | None]) -> str:
     """The commit named by the first of one side's runs that names one, or "unknown"."""
     return next((run["commit"] for run in runs if run and run["commit"] is not None), "unknown")
+
+
+def source_state(checkout: Path) -> str:
+    """Whether `src/` of `checkout` differs from its commit, and a short sha256 of its `src/fedval/*.py`."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:  # no git
+        proc = None
+    if proc is None or proc.returncode != 0:  # no git, or not a git checkout
+        status = "src status unknown"
+    else:
+        status = "src modified" if proc.stdout.strip() else "src clean"
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "fedval").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return f"{status}, src/fedval/*.py sha256 {digest.hexdigest()[:12]}"
 
 
 def equal_outputs(runs: list[tuple[dict | None, dict | None]]) -> tuple[int, int]:
@@ -147,6 +169,7 @@ def compare(sides: dict, workload: str, seeds: range, seconds: float, metrics: l
 
     print(f"{workload}: {len(seeds)} pairs of {seconds:g} s runs, seeds {seeds[0]}-{seeds[-1]}")
     print(f"commits: parent {side_commit(results['parent'])}, change {side_commit(results['change'])}")
+    print(f"sources: parent {source_state(sides['parent'])}, change {source_state(sides['change'])}")
     equal, compared = equal_outputs(list(zip(results["parent"], results["change"])))
     print(f"outputs: parent and change wrote equal outputs in {equal}/{compared} pairs")
     print(f"{'metric':24s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "

@@ -198,7 +198,8 @@ def afl_round(
         with np.errstate(over="raise"):
             for c, weight in zip(ordered, mixture.p):
                 gw, gb = gradient(global_params, c.data)
-                mixed_w += weight * gw
+                gw *= weight  # a fresh array: scaled in place, the product weight * gw
+                mixed_w += gw
                 mixed_b += weight * gb
                 losses[c.client_id] = _client_loss(c, global_params)
             new_global = ModelParams(

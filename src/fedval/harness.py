@@ -210,6 +210,12 @@ def _make_dir(path) -> Path:
     return out
 
 
+def _round_train(cfg: ExperimentConfig, t: int) -> TrainConfig:
+    """`cfg.train` reseeded for round `t`: replace(cfg.train, seed=...), built directly, which costs less."""
+    train = cfg.train
+    return TrainConfig(train.epochs, train.batch_size, train.lr, derive_seed(cfg.seed, "round", t))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Execute one experiment; returns the artifact directory.
 
@@ -233,30 +239,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
 
     with RoundWriter(out) as writer:
         for t in range(1, cfg.rounds + 1):
-            # replace(cfg.train, seed=...), built directly: replace costs more per round
-            train = cfg.train
-            round_cfg = TrainConfig(
-                train.epochs, train.batch_size, train.lr, derive_seed(cfg.seed, "round", t)
-            )
+            # only local SGD reads the round's seed: AFL reads cfg.train's lr
+            # alone, and q-FedSGD takes no train config
             if cfg.strategy == "fedval":
                 params, state, info = fedval_round(
                     params,
                     clients,
                     validation,
                     cfg.objectives,
-                    round_cfg,
+                    _round_train(cfg, t),
                     cfg.ranking,
                     state,
                     alpha=cfg.temp_alpha,
                 )
             elif cfg.strategy == "fedavg":
-                params, info = fedavg_round(params, clients, round_cfg)
+                params, info = fedavg_round(params, clients, _round_train(cfg, t))
             elif cfg.strategy == "qfedsgd":
                 params, info = qfedsgd_round(params, clients, cfg.qfed)
             elif cfg.strategy == "qfedavg":
-                params, info = qfedavg_round(params, clients, round_cfg, cfg.qfed)
+                params, info = qfedavg_round(params, clients, _round_train(cfg, t), cfg.qfed)
             else:  # afl
-                params, state, info = afl_round(params, clients, state, round_cfg, cfg.afl_lambda_lr)
+                params, state, info = afl_round(params, clients, state, cfg.train, cfg.afl_lambda_lr)
             global_metrics = (accuracy(params, validation), spd(params, validation), eod(params, validation))
             writer.write(t, global_metrics, clients, info)
 

@@ -223,9 +223,12 @@ def gradient(params: ModelParams, dataset: TabularDataset):
     """Analytic loss gradient: (mean (p - y) x, mean (p - y))."""
     n = dataset.n
     err = _dataset_proba(params, dataset) - dataset.labels_float
-    # features.T @ err, not err.dot(features): on a one-row shard the dot
-    # returns -0.0 where this gemv returns +0.0
-    grad_w = dataset.features.T @ err
+    # features.T @ err with less dispatch, up to the sign of a zero: on a
+    # one-row shard an error of exactly 0 and a negative feature give -0.0
+    # where the gemv gives +0.0.  Adding 0.0 changes only a -0.0, to +0.0
+    grad_w = err.dot(dataset.features)
+    if n == 1:
+        grad_w += 0.0
     grad_w /= n
     grad_b = float(np.add.reduce(err)) / n  # err.mean()
     return grad_w, grad_b

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import ExitStack
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigError
@@ -106,11 +107,14 @@ class RoundWriter:
     def __init__(self, out_dir):
         self.jsonl_path = out_dir / "rounds.jsonl"
         self.csv_path = out_dir / "rounds.csv"
-        self._jsonl = open(self.jsonl_path, "w", encoding="utf-8")
-        self._csv = open(self.csv_path, "w", newline="", encoding="utf-8")
-        self._csv.write(_CSV_HEADER)
-        self._csv.flush()
-        # each client's `_client_head` texts by (client_id, behavior, n), formatted on first sight
+        # a failure here closes whatever was opened; on success pop_all keeps both open
+        with ExitStack() as opened:
+            self._jsonl = opened.enter_context(open(self.jsonl_path, "w", encoding="utf-8"))
+            self._csv = opened.enter_context(open(self.csv_path, "w", newline="", encoding="utf-8"))
+            self._csv.write(_CSV_HEADER)
+            self._csv.flush()
+            opened.pop_all()
+        # by client id: (profile, its `_client_head` texts), formatted when a new profile shows
         self._heads = {}
 
     def write(self, round_index: int, global_metrics, clients, info) -> None:
@@ -151,10 +155,11 @@ class RoundWriter:
         objects, lines = [], []
         for c in ordered:
             cid = c.client_id
-            key = (cid, c.behavior, c.n)
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = _client_head(*key)
+            # a profile is frozen: the same object has the same behavior and n
+            entry = heads.get(cid)
+            if entry is None or entry[0] is not c:
+                entry = heads[cid] = (c, _client_head(cid, c.behavior, c.n))
+            head = entry[1]
             # a finite float, as a loss and a weight nearly always are, is `_texts`' first case, inline
             value = losses[cid]
             if type(value) is float and math.isfinite(value):

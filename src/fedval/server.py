@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -112,9 +113,12 @@ class RoundInfo:
     rank: RankState | None = None
 
 
+_CLIENT_ID = attrgetter("client_id")
+
+
 def _by_id(clients) -> list[ClientProfile]:
     """`clients` in ascending client id: the order every round visits them in."""
-    return sorted(clients, key=lambda c: c.client_id)
+    return sorted(clients, key=_CLIENT_ID)
 
 
 def _client_loss(client: ClientProfile, params: ModelParams) -> float:

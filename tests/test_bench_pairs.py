@@ -1,12 +1,23 @@
-"""The verdict rule and the output comparison of scripts/bench_pairs.py, on made-up runs."""
+"""The verdict rule, the output comparison and the source state of scripts/bench_pairs.py, on made-up runs."""
 
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
-from bench_pairs import environment_commit, equal_outputs, side_commit, summary_digests, verdict  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    environment_commit,
+    equal_outputs,
+    side_commit,
+    source_state,
+    summary_digests,
+    verdict,
+)
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
@@ -82,3 +93,41 @@ def test_each_sides_commit_is_read_from_the_environment_line():
     # a failed run and one whose output names no commit come first
     assert side_commit([None, run(None), run("b38c57e")]) == "b38c57e"
     assert side_commit([None, run(None)]) == "unknown"
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                    "-c", "commit.gpgsign=false", *args], cwd=cwd, check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_source_state_tells_uncommitted_sources_from_their_commit(tmp_path):
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = sides[side] = tmp_path / side
+        (checkout / "src" / "fedval").mkdir(parents=True)
+        (checkout / "src" / "fedval" / "model.py").write_text("x = 1\n")
+        (checkout / "README.md").write_text("fedval\n")
+        _git(checkout, "init", "-q")
+        _git(checkout, "add", "-A")
+        _git(checkout, "commit", "-q", "-m", "seed")
+    clean = source_state(sides["parent"])
+    assert clean.startswith("src clean, src/fedval/*.py sha256 ")
+    assert source_state(sides["change"]) == clean  # the same sources, the same digest
+
+    # a change outside src/ leaves the sources as committed
+    (sides["change"] / "README.md").write_text("changed\n")
+    assert source_state(sides["change"]) == clean
+    (sides["change"] / "src" / "fedval" / "model.py").write_text("x = 2\n")
+    changed = source_state(sides["change"])
+    assert changed.startswith("src modified, ") and changed[-12:] != clean[-12:]
+    # a new module counts too
+    (sides["parent"] / "src" / "fedval" / "extra.py").write_text("")
+    assert source_state(sides["parent"]).startswith("src modified, ")
+    assert source_state(sides["parent"])[-12:] != clean[-12:]
+
+
+def test_source_state_of_a_directory_outside_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # no repository above it either
+    (tmp_path / "src" / "fedval").mkdir(parents=True)
+    assert source_state(tmp_path).startswith("src status unknown, src/fedval/*.py sha256 ")

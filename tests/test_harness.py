@@ -288,6 +288,20 @@ def test_run_experiment_replay_is_byte_identical(tmp_path):
     assert (first / "final_model.json").read_bytes() == (second / "final_model.json").read_bytes()
 
 
+@pytest.mark.parametrize("strategy", ["afl", "qfedsgd"])
+def test_afl_and_qfedsgd_read_no_train_field_but_lr(tmp_path, strategy):
+    # neither runs local SGD: epochs and batch_size must not reach a written byte
+    runs = [
+        run_experiment(
+            tiny_config(strategy=strategy, rounds=3, train=TrainConfig(epochs=epochs, batch_size=batch_size, lr=0.1)),
+            out_dir=tmp_path / f"e{epochs}b{batch_size}",
+        )
+        for epochs, batch_size in ((1, 16), (4, 3))
+    ]
+    for name in ("rounds.jsonl", "rounds.csv", "final_model.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 def test_run_experiment_seed_changes_results(tmp_path):
     a = run_experiment(tiny_config(rounds=2), out_dir=tmp_path / "a")
     from dataclasses import replace

@@ -483,9 +483,11 @@ def test_client_update_from_a_negative_zero_weight_equals_the_reference(seed, bi
 )
 @example(seed=4, n=1, dim=1, scale=1.0, labels=1, tie_row=True)
 @example(seed=5, n=300, dim=12, scale=1e2, labels=0, tie_row=False)  # every row clamped
-# one row at p == 1 and a negative feature: err is 0.0, and err.dot(features)
-# or features.T.dot(err) would return -0.0 where the reference's gemv gives +0.0
+# one row and a negative feature whose probability saturates to its label
+# (p == 1, then p == 0): err is exactly 0, the dot in `gradient` returns -0.0,
+# and gradient must return the +0.0 the reference's gemv gives
 @example(seed=92, n=1, dim=1, scale=19.0, labels=1, tie_row=False)
+@example(seed=15, n=1, dim=1, scale=1e3, labels=0, tie_row=False)
 def test_proba_loss_and_gradient_equal_the_plain_reference(seed, n, dim, scale, labels, tie_row):
     # exactness bound: none.  The one-pass in-place probabilities, loss and
     # gradient must reproduce the plain formulas' float64 bits, and classify

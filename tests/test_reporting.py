@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import re
@@ -242,6 +243,24 @@ def test_round_writer_streams_both_formats(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("how", [
+    "directory",
+    pytest.param("full-device", marks=pytest.mark.skipif(
+        not Path("/dev/full").exists(), reason="needs a /dev/full that fails every write")),
+])
+def test_a_writer_that_cannot_start_rounds_csv_closes_what_it_opened(tmp_path, how):
+    # rounds.csv cannot be opened, or its header cannot be written.  A file
+    # object left open warns when collected; tier-1 makes that warning an error
+    if how == "directory":
+        (tmp_path / "rounds.csv").mkdir()
+    else:
+        (tmp_path / "rounds.csv").symlink_to("/dev/full")
+    with pytest.raises(OSError):
+        RoundWriter(tmp_path)
+    gc.collect()
+    assert (tmp_path / "rounds.jsonl").read_bytes() == b""
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
